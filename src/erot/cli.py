@@ -349,13 +349,14 @@ def _cmd_mc_clt(args):
 def _cmd_vanishing_lambda(args):
     cfg_raw = io.load_json(_resolve(args, "config", required=True))
     r, s, model, _ = _load_instance(args, 1.0)
+    seed = int(cfg_raw.get("seed", _resolve(args, "seed", int, default=0)))
     report = vanishing_lambda_experiment(
         r, s, model,
         sample_sizes=tuple(cfg_raw.get("sample_sizes", (500, 2000, 8000))),
         lambda_coef=float(cfg_raw.get("lambda_coef", 1.0)),
         lambda_exponent=float(cfg_raw.get("lambda_exponent", -0.6)),
         replications=int(cfg_raw.get("replications", 200)),
-        seed=int(cfg_raw.get("seed", _resolve(args, "seed", int, default=0))),
+        seed=seed,
         threads=_resolve(args, "threads", int, default=1),
     )
     out = Path(_resolve(args, "out", default="vanishing_lambda.json"))
@@ -364,7 +365,7 @@ def _cmd_vanishing_lambda(args):
     payload = report.to_dict()
     runtime = payload.pop("runtime")
     return _finish(args, "vanishing-lambda", out, payload, [draws_csv],
-                   seed=int(cfg_raw.get("seed", 0)), runtime=runtime)
+                   seed=seed, runtime=runtime)
 
 
 def _cmd_ot_exact(args):
@@ -438,7 +439,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _error_payload(exc: Exception) -> str:
-    return json.dumps({"error": type(exc).__name__, "message": str(exc)})
+    """One JSON line for stderr; NonConvergence adds its iteration count and
+    final residual (null when unset or, for the residual, not finite)."""
+    payload = {"error": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, NonConvergence):
+        it, res = exc.iterations, exc.residual
+        payload["iterations"] = None if it is None else int(it)
+        payload["residual"] = float(res) if res is not None and np.isfinite(res) else None
+    return json.dumps(payload)
 
 
 def main(argv=None) -> int:

@@ -14,7 +14,7 @@ With u = BX hY, v = BY hX the derivative in direction (hX, hY) is
 
     Dpi = (pi/(r (x) s)) . [r (x) hY + hX (x) s] - pi . (a (+) (0, b)),
     a = (I - AX AY)^{-1} (u - AX v),
-    b = (I - AY AX)^{-1} (v - AY u),
+    b = v - AY a,
 
 the unique solution of  a + AX b = u,  AY a + b = v, which is exactly what
 differentiating the marginal constraints demands (row sums of Dpi equal hX,
@@ -22,9 +22,19 @@ column sums equal hY).  Note the BX sum runs over all of Y including y1;
 restricting it to Y without y1 would break the row-sum identity whenever the
 direction hY moves mass at y1.
 
-Bounded X-variation of the cost makes AX AY a strict contraction, so the
-inverses exist; they are realized by direct dense solves, with a truncated
-Neumann sum retained as a cross-check.
+Bounded X-variation of the cost makes AX AY a strict contraction, so I - AX AY
+is invertible.  `build_operators` LU-factors it once; every solve of the block
+system reuses that factor for a and back-substitutes the second block row for
+b.  A truncated Neumann sum is retained as an independent cross-check.
+
+The functional covariances need the rows <f, Dpi(e_x, 0)> and
+<f, Dpi(0, e_y)> for every coordinate direction.  They are obtained from one
+adjoint (transposed) solve per test table f rather than one solve per
+direction: with gx = (f . pi) 1 and gy the column sums of f . pi off y1,
+
+    P  = (gx - gy AY) (I - AX AY)^{-1},
+    JX = gx / r - (gy - P AX) BY,
+    JY = (f . pi)^T 1 / s - P BX.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 from .costs import CostModel
 from .errors import (
@@ -74,6 +85,7 @@ class DerivativeOperators:
     BX: np.ndarray  # (nx, ny), full tensor-quotient pi/(r x s)
     BY: np.ndarray  # (ny-1, nx)
     contraction_norm: float
+    lu: tuple  # scipy.linalg.lu_factor of I - AX AY
 
     @property
     def keep_y(self) -> np.ndarray:
@@ -107,7 +119,8 @@ def build_operators(
     AX = pi[:, keep] / r.weights[:, None]
     AY = (pi[:, keep] / s.weights[None, keep]).T
     B = pi / (r.weights[:, None] * s.weights[None, :])
-    norm = float(np.max(np.abs(AX @ AY).sum(axis=1))) if keep.any() else 0.0
+    MX = AX @ AY
+    norm = float(np.max(np.abs(MX).sum(axis=1))) if keep.any() else 0.0
     if norm >= 1.0 - 1e-9:
         raise ContractionViolated(
             f"operator norm of AX AY is {norm:.12f}, too close to 1 for inversion"
@@ -117,9 +130,10 @@ def build_operators(
             f"AX AY contraction norm {norm:.6f} is close to 1; derivative may be ill-conditioned",
             RuntimeWarning,
         )
+    # full support puts y1 at index 0, so BY = B[:, keep].T is a view of BX
     return DerivativeOperators(
-        base=base, r=r, s=s, y1_index=y1, AX=AX, AY=AY, BX=B, BY=B[:, keep].T,
-        contraction_norm=norm,
+        base=base, r=r, s=s, y1_index=y1, AX=AX, AY=AY, BX=B, BY=B[:, 1:].T,
+        contraction_norm=norm, lu=lu_factor(np.eye(MX.shape[0]) - MX),
     )
 
 
@@ -147,15 +161,12 @@ def _potential_corrections(ops: DerivativeOperators, HX: np.ndarray, HY: np.ndar
     """Solve the block system for (a, b); HX, HY may carry batch columns."""
     U = ops.BX @ HY
     V = ops.BY @ HX
-    nx = ops.AX.shape[0]
-    MX = ops.AX @ ops.AY
-    MY = ops.AY @ ops.AX
     if method == "direct":
-        a = np.linalg.solve(np.eye(nx) - MX, U - ops.AX @ V)
-        b = np.linalg.solve(np.eye(MY.shape[0]) - MY, V - ops.AY @ U)
+        a = lu_solve(ops.lu, U - ops.AX @ V)
+        b = V - ops.AY @ a
     elif method == "neumann":
-        a = _neumann_solve(MX, U - ops.AX @ V, ops.contraction_norm)
-        b = _neumann_solve(MY, V - ops.AY @ U, ops.contraction_norm)
+        a = _neumann_solve(ops.AX @ ops.AY, U - ops.AX @ V, ops.contraction_norm)
+        b = _neumann_solve(ops.AY @ ops.AX, V - ops.AY @ U, ops.contraction_norm)
     else:
         raise ValueError(f"unknown method {method!r}")
     return a, b
@@ -168,10 +179,8 @@ def _plan_derivative_raw(ops: DerivativeOperators, hX: np.ndarray, hY: np.ndarra
     a, b = _potential_corrections(ops, hX, hY, method)
     b_full = np.zeros(sw.size)
     b_full[ops.keep_y] = b
-    first = pi / (rw[:, None] * sw[None, :]) * (
-        rw[:, None] * hY[None, :] + hX[:, None] * sw[None, :]
-    )
-    return first - pi * (a[:, None] + b_full[None, :])
+    # (pi/(r (x) s)) . [r (x) hY + hX (x) s] = pi . (hX/r (+) hY/s)
+    return pi * ((hX / rw - a)[:, None] + (hY / sw - b_full)[None, :])
 
 
 def plan_derivative(ops: DerivativeOperators, hX: SignedVector, hY: SignedVector,
@@ -253,24 +262,17 @@ def _functional_jacobians(ops: DerivativeOperators, fns):
 
     Raw coordinate perturbations are used; the multinomial covariance
     annihilates the constant component, so the resulting quadratic form
-    matches the tangent-space computation.
+    matches the tangent-space computation.  All rows of a table come from
+    one adjoint solve with the stored factor (see the module docstring).
     """
     pi = ops.base.plan
-    rw, sw = ops.r.weights, ops.s.weights
-    nx, ny = pi.shape
-    keep = ops.keep_y
-    # corrections for all coordinate directions at once
-    aX, bX = _potential_corrections(ops, np.eye(nx), np.zeros((ny, nx)))
-    aY, bY = _potential_corrections(ops, np.zeros((nx, ny)), np.eye(ny))
-    JX = np.empty((len(fns), nx))
-    JY = np.empty((len(fns), ny))
-    for k, f in enumerate(fns):
-        f = np.asarray(f, dtype=float)
-        W = f * pi / (rw[:, None] * sw[None, :])
-        fpi_x = (f * pi).sum(axis=1)  # weights of a in <f, pi . (a + b)>
-        fpi_y = (f * pi).sum(axis=0)[keep]
-        JX[k] = W @ sw - fpi_x @ aX - fpi_y @ bX
-        JY[k] = rw @ W - fpi_x @ aY - fpi_y @ bY
+    F = np.array([np.asarray(f, dtype=float) * pi for f in fns]).reshape((-1,) + pi.shape)
+    gx = F.sum(axis=2)
+    gy_full = F.sum(axis=1)
+    gy = gy_full[:, ops.keep_y]
+    P = lu_solve(ops.lu, (gx - gy @ ops.AY).T, trans=1).T
+    JX = gx / ops.r.weights - (gy - P @ ops.AX) @ ops.BY
+    JY = gy_full / ops.s.weights - P @ ops.BX
     return JX, JY
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 from scipy.sparse.csgraph import connected_components
 from scipy.special import logsumexp
@@ -205,6 +206,7 @@ class BoundReport:
     beta_upper_violation: float
     plan_lower_violation: float
     plan_upper_violation: float
+    vacuous: bool  # some bound on the support is not finite
 
     @property
     def max_violation(self) -> float:
@@ -226,6 +228,7 @@ class BoundReport:
             "plan_lower": self.plan_lower_violation,
             "plan_upper": self.plan_upper_violation,
             "max": self.max_violation,
+            "vacuous": self.vacuous,
         }
 
 
@@ -235,27 +238,32 @@ def verify_bounds(sol: SinkhornSolution, m: CostModel, r: DiscreteMeasure,
 
     Potential bounds apply under the balanced normalization (the solution is
     converted if needed); violations are reported as nonnegative magnitudes.
+    At small lam the weights exp(osc / lam) can overflow; the bounds then
+    hold trivially and the report is flagged `vacuous`.
     """
     lam = sol.lam
     bal = sol.renormalized(Normalization.BALANCED, r, s)
     dom = m.dom_primary
     rw, sw = r.weights, s.weights
     ix, iy = rw > 0, sw > 0
-    eX = np.exp((dom.cX_plus - dom.cX_minus) / lam)
-    eY = np.exp((dom.cY_plus - dom.cY_minus) / lam)
-    mean_plus_X = dom.cX_plus @ rw
-    mean_plus_Y = dom.cY_plus @ sw
-    half_minus = 0.5 * (dom.cX_minus @ rw + dom.cY_minus @ sw)
-    eX_r, eY_s = eX @ rw, eY @ sw
+    with np.errstate(over="ignore"):
+        eX = np.exp((dom.cX_plus - dom.cX_minus) / lam)
+        eY = np.exp((dom.cY_plus - dom.cY_minus) / lam)
+        mean_plus_X = dom.cX_plus @ rw
+        mean_plus_Y = dom.cY_plus @ sw
+        half_minus = 0.5 * (dom.cX_minus @ rw + dom.cY_minus @ sw)
+        eX_r, eY_s = eX @ rw, eY @ sw
 
-    a_lo = dom.cX_minus - mean_plus_X + half_minus - lam * np.log(eY_s)
-    a_hi = dom.cX_plus + mean_plus_Y - half_minus
-    b_lo = dom.cY_minus - mean_plus_Y + half_minus - lam * np.log(eX_r)
-    b_hi = dom.cY_plus + mean_plus_X - half_minus
+        a_lo = dom.cX_minus - mean_plus_X + half_minus - lam * np.log(eY_s)
+        a_hi = dom.cX_plus + mean_plus_Y - half_minus
+        b_lo = dom.cY_minus - mean_plus_Y + half_minus - lam * np.log(eX_r)
+        b_hi = dom.cY_plus + mean_plus_X - half_minus
 
-    prod = rw[:, None] * sw[None, :]
-    p_lo = prod / (eX[:, None] * eY[None, :] * eX_r**2 * eY_s**2)
-    p_hi = prod * eX[:, None] * eY[None, :] * eX_r * eY_s
+        prod = rw[:, None] * sw[None, :]
+        p_lo = prod / (eX[:, None] * eY[None, :] * eX_r**2 * eY_s**2)
+        p_hi = prod * eX[:, None] * eY[None, :] * eX_r * eY_s
+    on_support = [a_lo[ix], a_hi[ix], b_lo[iy], b_hi[iy],
+                  p_lo[np.ix_(ix, iy)], p_hi[np.ix_(ix, iy)]]
 
     def viol(arr):
         return float(max(0.0, np.max(arr))) if arr.size else 0.0
@@ -267,6 +275,7 @@ def verify_bounds(sol: SinkhornSolution, m: CostModel, r: DiscreteMeasure,
         beta_upper_violation=viol(bal.beta[iy] - b_hi[iy]),
         plan_lower_violation=viol(p_lo - bal.plan),
         plan_upper_violation=viol(bal.plan - p_hi),
+        vacuous=not all(np.all(np.isfinite(b)) for b in on_support),
     )
 
 
@@ -303,14 +312,10 @@ def exact_ot_small(r: DiscreteMeasure, s: DiscreteMeasure, m: CostModel) -> OTSo
 
     # equality constraints: row marginals then column marginals (drop the
     # last, redundant, column constraint to keep the system full-rank)
-    n_var = kx * ky
-    rows = np.zeros((kx, n_var))
-    for i in range(kx):
-        rows[i, i * ky : (i + 1) * ky] = 1.0
-    cols = np.zeros((ky - 1, n_var))
-    for j in range(ky - 1):
-        cols[j, j::ky] = 1.0
-    A = np.vstack([rows, cols])
+    A = sparse.vstack([
+        sparse.kron(sparse.eye(kx), np.ones((1, ky))),
+        sparse.kron(np.ones((1, kx)), sparse.eye(ky, format="csr")[:-1]),
+    ], format="csr")
     b = np.concatenate([r.weights[ix], s.weights[iy][:-1]])
     res = linprog(c.ravel(), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
     if not res.success:

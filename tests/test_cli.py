@@ -72,6 +72,18 @@ class TestSolve:
         assert code == 3
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "NonConvergence"
+        assert err["iterations"] == 2
+        assert isinstance(err["residual"], float) and err["residual"] > 1e-15
+
+    def test_nonconvergence_without_sweeps_has_null_residual(self, instance, capsys):
+        paths, tmp = instance
+        code = main(["solve", *_base(
+            paths, "--lambda", "1", "--max-iter", "0", "--out", str(tmp / "n.json"))])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1],
+                         parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
+        assert err["iterations"] == 0
+        assert err["residual"] is None
 
 
 def test_no_subcommand_exit_2(capsys):
@@ -196,6 +208,17 @@ class TestStochasticCommands:
         assert "runtime" not in payload  # timing lives in the manifest only
         manifest = json.loads((tmp / "mc.manifest.json").read_text())
         assert manifest["runtime"] > 0
+
+    def test_vanishing_lambda_manifest_seed_from_flag(self, instance):
+        paths, tmp = instance
+        cfg = tmp / "vl.json"
+        cfg.write_text(json.dumps({"sample_sizes": [50, 100], "replications": 2}))
+        out = tmp / "vl_out.json"
+        code = main(["vanishing-lambda", *_base(
+            paths, "--config", str(cfg), "--seed", "5", "--out", str(out))])
+        assert code == 0
+        manifest = json.loads((tmp / "vl_out.manifest.json").read_text())
+        assert manifest["seed"] == 5
 
     def test_ot_exact_with_gap(self, instance):
         paths, tmp = instance

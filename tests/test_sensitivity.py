@@ -235,6 +235,34 @@ class TestCovariances:
         assert cov[2, 2] == pytest.approx(4 * cov[1, 1], abs=1e-12)
         assert np.allclose(cov, cov.T)
 
+    @pytest.mark.parametrize("mode, delta", [(ONE_SAMPLE_R, None),
+                                             (ONE_SAMPLE_S, None),
+                                             (TWO_SAMPLE, 0.3)])
+    def test_functional_covariance_against_neumann_jacobian(self, mode, delta):
+        # oracle: Jacobian columns <f, Dpi(e_x - r, 0)> and <f, Dpi(0, e_y - s)>
+        # from the public Neumann-summed plan derivative, one direction at a time
+        r, s, m, sol = _instance(17, n_x=5, n_y=4)
+        ops = build_operators(sol, r, s, m)
+        rng = np.random.default_rng(170)
+        fns = [m.cost, rng.uniform(-1, 1, (5, 4)), rng.uniform(0, 1, (5, 4))]
+        F = np.array(fns)
+        zx = erot.SignedVector(r.space, np.zeros(5))
+        zy = erot.SignedVector(s.space, np.zeros(4))
+        JX = np.column_stack([
+            (F * plan_derivative(ops, erot.SignedVector(r.space, e - r.weights), zy,
+                                 method="neumann")).sum(axis=(1, 2))
+            for e in np.eye(5)])
+        JY = np.column_stack([
+            (F * plan_derivative(ops, zx, erot.SignedVector(s.space, e - s.weights),
+                                 method="neumann")).sum(axis=(1, 2))
+            for e in np.eye(4)])
+        cov_r = JX @ multinomial_covariance(r).matrix @ JX.T
+        cov_s = JY @ multinomial_covariance(s).matrix @ JY.T
+        expected = {ONE_SAMPLE_R: cov_r, ONE_SAMPLE_S: cov_s,
+                    TWO_SAMPLE: 0.3 * cov_r + 0.7 * cov_s}[mode]
+        got = functional_covariance(ops, r, s, fns, mode, delta)
+        assert np.allclose(got, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
+
     def test_cost_variance_matches_functional_path(self):
         r, s, m, sol = _instance(13)
         ops = build_operators(sol, r, s, m)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,20 @@ class TestBounds:
         sol = erot.solve(r, s, m, 100.0)
         assert erot.verify_bounds(sol, m, r, s).max_violation <= 1e-7
         assert np.allclose(sol.plan, np.outer(r.weights, s.weights), atol=5e-3)
+
+    @pytest.mark.parametrize("lam, vacuous", [(1.0, False), (0.01, True)])
+    def test_overflowing_weights_flag_vacuous(self, lam, vacuous):
+        # 21-atom geometric instance, cost |x - y|: the oscillation 20 makes
+        # exp(20 / lam) overflow at lam = 0.01
+        sp = erot.integer_grid(21)
+        r = erot.geometric_measure(sp, 0.7)
+        m, _ = erot.build_cost({"family": "bounded", "p": 1}, sp, sp, lam)
+        sol = erot.solve(r, r, m, lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = erot.verify_bounds(sol, m, r, r)
+        assert report.vacuous is vacuous
+        assert report.to_dict()["vacuous"] is vacuous
 
 
 class TestExactOT:

@@ -5,6 +5,7 @@ Carlo verification of the limit theorems."""
 __version__ = "0.1.0"
 
 from .measures import (
+    Design,
     DiscreteMeasure,
     IndexedSpace,
     SignedVector,

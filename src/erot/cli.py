@@ -25,7 +25,7 @@ import numpy as np
 from . import io
 from .costs import check_plan_conditions, check_value_conditions
 from .errors import ConfigParse, ErotError, NonConvergence
-from .measures import SignedVector
+from .measures import Design, SignedVector
 from .resampling import (
     ExperimentConfig,
     bootstrap_plan_functional,
@@ -35,8 +35,6 @@ from .resampling import (
 )
 from .sensitivity import (
     ONE_SAMPLE_R,
-    ONE_SAMPLE_S,
-    TWO_SAMPLE,
     build_operators,
     divergence_variance,
     functional_covariance,
@@ -77,13 +75,31 @@ def _resolve(args, name: str, cast=str, required: bool = False, default=None):
     return value
 
 
-def _load_instance(args, lam: float):
+def _load_instance(args, lam: float | None = None):
+    """(lam, r, s, model, profile); lam comes from --lambda unless given."""
+    if lam is None:
+        lam = _resolve(args, "lambda", float, required=True)
     r = io.load_measure(_resolve(args, "r", required=True))
     s = io.load_measure(_resolve(args, "s", required=True))
     model, profile = io.load_cost(
         _resolve(args, "cost", required=True), r.space, s.space, lam
     )
-    return r, s, model, profile
+    return lam, r, s, model, profile
+
+
+def _solved(args):
+    """The instance solved at --lambda: (lam, r, s, model, cfg, sol)."""
+    lam, r, s, model, _ = _load_instance(args)
+    cfg = _solve_cfg(args)
+    return lam, r, s, model, cfg, solve(r, s, model, lam, cfg)
+
+
+def _design(args):
+    """--mode (default one_sample_r) and --delta with the Design they name;
+    an unknown mode is a ConfigParse error."""
+    mode = _resolve(args, "mode", default=ONE_SAMPLE_R)
+    delta = _resolve(args, "delta", float)
+    return mode, delta, Design.of(mode, delta)
 
 
 def _solve_cfg(args) -> SolveConfig:
@@ -133,9 +149,7 @@ def _finish(args, subcommand: str, out_path, payload, extra_artifacts=(),
 
 
 def _cmd_solve(args):
-    lam = _resolve(args, "lambda", float, required=True)
-    r, s, model, _ = _load_instance(args, lam)
-    sol = solve(r, s, model, lam, _solve_cfg(args))
+    lam, r, s, model, _, sol = _solved(args)
     out = _resolve(args, "out", default="solution.json")
     payload = {
         "lambda": lam,
@@ -153,17 +167,14 @@ def _cmd_solve(args):
 
 
 def _cmd_divergence(args):
-    lam = _resolve(args, "lambda", float, required=True)
-    r, s, model, _ = _load_instance(args, lam)
+    lam, r, s, model, _ = _load_instance(args)
     d = sinkhorn_divergence(r, s, model, lam, _solve_cfg(args))
     out = _resolve(args, "out", default="divergence.json")
     return _finish(args, "divergence", out, {"lambda": lam, "divergence": d})
 
 
 def _cmd_bounds(args):
-    lam = _resolve(args, "lambda", float, required=True)
-    r, s, model, _ = _load_instance(args, lam)
-    sol = solve(r, s, model, lam, _solve_cfg(args))
+    lam, r, s, model, _, sol = _solved(args)
     report = verify_bounds(sol, model, r, s)
     out = _resolve(args, "out", default="bounds.json")
     return _finish(args, "bounds", out, {"lambda": lam, **report.to_dict()})
@@ -172,7 +183,7 @@ def _cmd_bounds(args):
 def _cmd_check_conditions(args):
     lam = _resolve(args, "lambda", float, required=True)
     theorem = _resolve(args, "theorem", required=True)
-    r, s, _, profile = _load_instance(args, lam)
+    _, r, s, _, profile = _load_instance(args, lam)
     if theorem == "value":
         mode = _resolve(args, "mode", default="one_sample")
         report = check_value_conditions(r, s, profile, mode)
@@ -185,41 +196,30 @@ def _cmd_check_conditions(args):
 
 
 def _cmd_variance(args):
-    lam = _resolve(args, "lambda", float, required=True)
-    mode = _resolve(args, "mode", default=ONE_SAMPLE_R)
-    delta = _resolve(args, "delta", float)
-    if mode not in (ONE_SAMPLE_R, ONE_SAMPLE_S, TWO_SAMPLE):
-        raise ConfigParse(f"unknown mode {mode!r}")
-    r, s, model, _ = _load_instance(args, lam)
-    cfg = _solve_cfg(args)
-    sol = solve(r, s, model, lam, cfg)
+    mode, delta, design = _design(args)
+    lam, r, s, model, cfg, sol = _solved(args)
     payload = {
         "lambda": lam,
         "mode": mode,
         "delta": delta,
-        "sigma2_value": value_variance(sol, r, s, mode, delta),
+        "sigma2_value": value_variance(sol, r, s, design),
     }
     ops = build_operators(sol, r, s, model)
-    payload["sigma_tilde2_cost"] = sinkhorn_cost_variance(ops, r, s, model, mode, delta)
+    payload["sigma_tilde2_cost"] = sinkhorn_cost_variance(ops, r, s, model, design)
     if model.is_symmetric:
-        payload["sigma2_divergence"] = divergence_variance(
-            r, s, model, lam, mode, delta, cfg
-        )
+        payload["sigma2_divergence"] = divergence_variance(r, s, model, lam, design, cfg=cfg)
     out = _resolve(args, "out", default="variance.json")
     return _finish(args, "variance", out, payload)
 
 
 def _cmd_plan_cov(args):
-    lam = _resolve(args, "lambda", float, required=True)
-    mode = _resolve(args, "mode", default=ONE_SAMPLE_R)
-    delta = _resolve(args, "delta", float)
-    r, s, model, _ = _load_instance(args, lam)
+    mode, delta, design = _design(args)
+    lam, r, s, model, _, sol = _solved(args)
     fns = io.load_function_tables(
         _resolve(args, "functions", required=True), model.cost.shape
     )
-    sol = solve(r, s, model, lam, _solve_cfg(args))
     ops = build_operators(sol, r, s, model)
-    cov = functional_covariance(ops, r, s, fns, mode, delta)
+    cov = functional_covariance(ops, r, s, fns, design)
     out = _resolve(args, "out", default="plan_cov.json")
     payload = {
         "lambda": lam,
@@ -233,12 +233,9 @@ def _cmd_plan_cov(args):
 
 
 def _cmd_derivative_check(args):
-    lam = _resolve(args, "lambda", float, required=True)
     seed = _resolve(args, "seed", int, default=0)
     ts = [float(t) for t in _resolve(args, "ts", default="1e-2,1e-3,1e-4").split(",")]
-    r, s, model, _ = _load_instance(args, lam)
-    cfg = _solve_cfg(args)
-    sol = solve(r, s, model, lam, cfg)
+    lam, r, s, model, cfg, sol = _solved(args)
     ops = build_operators(sol, r, s, model)
     rng = np.random.default_rng(seed)
 
@@ -279,12 +276,11 @@ def _cmd_derivative_check(args):
 
 
 def _cmd_bootstrap(args):
-    lam = _resolve(args, "lambda", float, required=True)
     seed = _resolve(args, "seed", int, default=0)
     n = _resolve(args, "n", int, required=True)
     B = _resolve(args, "B", int, default=1000)
     threads = _resolve(args, "threads", int, default=1)
-    r, s, model, _ = _load_instance(args, lam)
+    lam, r, s, model, _ = _load_instance(args)
     ss = np.random.SeedSequence(seed).spawn(2)
     sample = np.random.default_rng(ss[0]).choice(
         r.space.size, size=n, p=r.weights
@@ -319,7 +315,7 @@ def _cmd_bootstrap(args):
 def _cmd_mc_clt(args):
     cfg_raw = io.load_json(_resolve(args, "config", required=True))
     lam = float(cfg_raw.get("lambda", _resolve(args, "lambda", float, default=1.0)))
-    r, s, model, profile = _load_instance(args, lam)
+    _, r, s, model, profile = _load_instance(args, lam)
     f = np.asarray(cfg_raw["f"], dtype=float) if "f" in cfg_raw else None
     cfg = ExperimentConfig(
         statistic=cfg_raw.get("statistic", "ValueCLT"),
@@ -331,8 +327,7 @@ def _cmd_mc_clt(args):
         f=f,
         threads=_resolve(args, "threads", int, default=1),
     )
-    mode = "one_sample" if cfg.m is None else "two_sample"
-    conditions = check_value_conditions(r, s, profile, mode)
+    conditions = check_value_conditions(r, s, profile, cfg.design)
     report = mc_clt_experiment(r, s, model, cfg, conditions)
     out = Path(_resolve(args, "out", default="mc_clt.json"))
     draws_csv = out.with_suffix(".draws.csv")
@@ -348,7 +343,7 @@ def _cmd_mc_clt(args):
 
 def _cmd_vanishing_lambda(args):
     cfg_raw = io.load_json(_resolve(args, "config", required=True))
-    r, s, model, _ = _load_instance(args, 1.0)
+    _, r, s, model, _ = _load_instance(args, 1.0)
     seed = int(cfg_raw.get("seed", _resolve(args, "seed", int, default=0)))
     report = vanishing_lambda_experiment(
         r, s, model,
@@ -369,7 +364,7 @@ def _cmd_vanishing_lambda(args):
 
 
 def _cmd_ot_exact(args):
-    r, s, model, _ = _load_instance(args, 1.0)
+    _, r, s, model, _ = _load_instance(args, 1.0)
     ot = exact_ot_small(r, s, model)
     lambdas = _resolve(args, "lambdas", default=None)
     payload = {

@@ -26,6 +26,7 @@ from .errors import (
     SeparabilityViolated,
 )
 from .measures import (
+    Design,
     DiscreteMeasure,
     IndexedSpace,
     TailFamily,
@@ -40,7 +41,6 @@ class Family(Enum):
     METRIC_POWER = "metric_power"
     SEMI_BOUNDED_METRIC_POWER = "semi_bounded_metric_power"
     SEPARABILITY_METRIC = "separability_metric"
-    NORM_POWER = "norm_power"
     CUSTOM = "custom"
 
 
@@ -65,6 +65,12 @@ class Growth:
 
 
 CONST_GROWTH = Growth()
+_WEIGHT_NAMES = ("C_X", "C_Y", "e_X", "e_Y", "Ct_X", "Ct_Y", "et_X", "et_Y")
+
+
+def _growth(**shapes: Growth) -> dict:
+    """Growth descriptors keyed by weight name; unnamed weights are constant."""
+    return {k: shapes.get(k, CONST_GROWTH) for k in _WEIGHT_NAMES}
 
 
 @dataclass(frozen=True)
@@ -242,8 +248,7 @@ def _build_bounded(spec, sx, sy, lam):
         cY_minus=np.zeros(sy.size),
         cY_plus=np.full(sy.size, C / 2.0),
     )
-    growth = {k: CONST_GROWTH for k in ("C_X", "C_Y", "e_X", "e_Y", "Ct_X", "Ct_Y", "et_X", "et_Y")}
-    return CostModel(sx, sy, cost, dom, None, Family.BOUNDED, growth, True, True)
+    return CostModel(sx, sy, cost, dom, None, Family.BOUNDED, _growth(), True, True)
 
 
 def _build_metric_power(spec, sx, sy, lam):
@@ -264,8 +269,7 @@ def _build_metric_power(spec, sx, sy, lam):
         dom = DominatingCollection(
             np.zeros(sx.size), np.full(sx.size, C / 2), np.zeros(sy.size), np.full(sy.size, C / 2)
         )
-        growth = {k: CONST_GROWTH for k in ("C_X", "C_Y", "e_X", "e_Y", "Ct_X", "Ct_Y", "et_X", "et_Y")}
-        return CostModel(sx, sy, cost, dom, None, Family.METRIC_POWER, growth, True, True)
+        return CostModel(sx, sy, cost, dom, None, Family.METRIC_POWER, _growth(), True, True)
 
     if setting == "semi_bounded":
         # X is the bounded side; Y may be unbounded
@@ -282,16 +286,7 @@ def _build_metric_power(spec, sx, sy, lam):
         else:
             gy = CONST_GROWTH
             y_bounded = True
-        growth = {
-            "C_X": CONST_GROWTH,
-            "e_X": CONST_GROWTH,
-            "Ct_X": CONST_GROWTH,
-            "et_X": CONST_GROWTH,
-            "C_Y": Growth(float(p)),
-            "e_Y": gy,
-            "Ct_Y": Growth(float(p)),
-            "et_Y": gy,
-        }
+        growth = _growth(C_Y=Growth(float(p)), e_Y=gy, Ct_Y=Growth(float(p)), et_Y=gy)
         return CostModel(
             sx, sy, cost, dom, None, Family.SEMI_BOUNDED_METRIC_POWER, growth, True, y_bounded
         )
@@ -329,16 +324,10 @@ def _build_metric_power(spec, sx, sy, lam):
         )
         deg_hi = max(float(p), (p - 1 + eps) / eps if p > 1 else float(p))
         theta_e = max(float(p) if p % 2 else 0.0, (p - 1 + eps) / eps if p > 1 else 0.0)
-        growth = {
-            "C_X": Growth(deg_hi),
-            "C_Y": Growth(float(p)),
-            "e_X": Growth(0.0, 2.0, theta_e) if theta_e else CONST_GROWTH,
-            "e_Y": Growth(0.0, gam, p - 1 + eps),
-            "Ct_X": Growth(float(p)),
-            "Ct_Y": Growth(deg_hi),
-            "et_X": Growth(0.0, gam, p - 1 + eps),
-            "et_Y": Growth(0.0, 2.0, theta_e) if theta_e else CONST_GROWTH,
-        }
+        e_holder = Growth(0.0, 2.0, theta_e) if theta_e else CONST_GROWTH
+        e_power = Growth(0.0, gam, p - 1 + eps)
+        growth = _growth(C_X=Growth(deg_hi), C_Y=Growth(float(p)), e_X=e_holder, e_Y=e_power,
+                         Ct_X=Growth(float(p)), Ct_Y=Growth(deg_hi), et_X=e_power, et_Y=e_holder)
         return CostModel(
             sx, sy, cost, primary, secondary, Family.METRIC_POWER, growth, False, False
         )
@@ -365,16 +354,7 @@ def _build_separability(spec, sx, sy, lam):
         cY_minus=dy - kappa / 2.0,
         cY_plus=dy,
     )
-    growth = {
-        "C_X": Growth(1.0),
-        "C_Y": Growth(1.0),
-        "e_X": CONST_GROWTH,
-        "e_Y": CONST_GROWTH,
-        "Ct_X": Growth(1.0),
-        "Ct_Y": Growth(1.0),
-        "et_X": CONST_GROWTH,
-        "et_Y": CONST_GROWTH,
-    }
+    growth = _growth(C_X=Growth(1.0), C_Y=Growth(1.0), Ct_X=Growth(1.0), Ct_Y=Growth(1.0))
     return CostModel(sx, sy, cost, dom, None, Family.SEPARABILITY_METRIC, growth, True, True)
 
 
@@ -396,7 +376,6 @@ def _build_custom(spec, sx, sy, lam):
             cY_minus=np.asarray(dom_spec["cY_minus"], dtype=float),
             cY_plus=np.asarray(dom_spec["cY_plus"], dtype=float),
         )
-    growth = {k: CONST_GROWTH for k in ("C_X", "C_Y", "e_X", "e_Y", "Ct_X", "Ct_Y", "et_X", "et_Y")}
     return CostModel(
         sx,
         sy,
@@ -404,7 +383,7 @@ def _build_custom(spec, sx, sy, lam):
         dom,
         None,
         Family.CUSTOM,
-        growth,
+        _growth(),
         dom.x_variation() < np.inf,
         dom.y_variation() < np.inf,
     )
@@ -526,29 +505,31 @@ def check_value_conditions(
     r: DiscreteMeasure,
     s: DiscreteMeasure,
     profile: WeightProfile,
-    mode: str = "one_sample",
+    mode: str | Design = "one_sample",
 ) -> ConditionReport:
-    """Summability gates for the value limit theorem (one or two samples)."""
+    """Summability gates for the value limit theorem.  The Y gates depend on
+    whether s is sampled ("two_sample", "one_sample_s") or fixed ("one_sample",
+    "one_sample_r"); the X gates always treat r as sampled."""
+    # only which sides are sampled matters, so any delta in (0, 1) will do
+    s_sampled = bool(Design.of(mode, 0.5).w_s)
     g = profile.growth
     sums = [
         _checked("sum C_X sqrt(r)", profile.C_X.values, r.weights, 0.5, g["C_X"], r.tail),
         _checked("sum Ct_X^2 r", profile.Ct_X.values**2, r.weights, 1.0, g["Ct_X"].power(2), r.tail),
         _checked("sum et_X^2 r", profile.et_X.values**2, r.weights, 1.0, g["et_X"].power(2), r.tail),
     ]
-    if mode == "one_sample":
-        sums += [
-            _checked("sum C_Y s", profile.C_Y.values, s.weights, 1.0, g["C_Y"], s.tail),
-            _checked("sum Ct_Y s", profile.Ct_Y.values, s.weights, 1.0, g["Ct_Y"], s.tail),
-            _checked("sum e_Y s", profile.e_Y.values, s.weights, 1.0, g["e_Y"], s.tail),
-        ]
-    elif mode == "two_sample":
+    if s_sampled:
         sums += [
             _checked("sum Ct_Y sqrt(s)", profile.Ct_Y.values, s.weights, 0.5, g["Ct_Y"], s.tail),
             _checked("sum C_Y^2 s", profile.C_Y.values**2, s.weights, 1.0, g["C_Y"].power(2), s.tail),
             _checked("sum e_Y^2 s", profile.e_Y.values**2, s.weights, 1.0, g["e_Y"].power(2), s.tail),
         ]
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        sums += [
+            _checked("sum C_Y s", profile.C_Y.values, s.weights, 1.0, g["C_Y"], s.tail),
+            _checked("sum Ct_Y s", profile.Ct_Y.values, s.weights, 1.0, g["Ct_Y"], s.tail),
+            _checked("sum e_Y s", profile.e_Y.values, s.weights, 1.0, g["e_Y"], s.tail),
+        ]
     return _aggregate(sums, "value_clt")
 
 

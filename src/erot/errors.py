@@ -48,10 +48,6 @@ class NonConvergence(ErotError):
         self.residual = residual
 
 
-class NumericOverflow(ErotError):
-    pass
-
-
 class MarginalMismatch(ErotError):
     pass
 
@@ -88,5 +84,6 @@ class EmptyInput(ErotError):
     pass
 
 
-class ConfigParse(ErotError):
-    pass
+class ConfigParse(ErotError, ValueError):
+    """A flag, environment variable or sampling-mode spelling that names no
+    known setting; also a ValueError, as unknown modes always were."""

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigParse,
     EmptySample,
     IndexOutOfRange,
     MassMismatch,
@@ -27,6 +28,11 @@ from .errors import (
 
 MASS_TOL = 1e-12
 RENORM_TOL = 1e-9
+
+ONE_SAMPLE = "one_sample"
+ONE_SAMPLE_R = "one_sample_r"
+ONE_SAMPLE_S = "one_sample_s"
+TWO_SAMPLE = "two_sample"
 
 
 @dataclass(frozen=True)
@@ -132,6 +138,39 @@ class WeightFunction:
         if np.any(v <= 0):
             raise ValueError("weight function must be strictly positive")
         object.__setattr__(self, "values", v)
+
+
+@dataclass(frozen=True)
+class Design:
+    """Sampling design of a limit theorem: the weights of the r- and
+    s-empirical processes in the limit.  One sample from r is (1, 0), one
+    from s is (0, 1), and samples of sizes n from r and m from s are
+    (delta, 1 - delta) with delta = m / (n + m).  A side of weight 0 is not
+    sampled."""
+
+    w_r: float
+    w_s: float
+
+    @classmethod
+    def of(cls, mode, delta: float | None = None) -> "Design":
+        """The design a mode spelling names ("one_sample" is "one_sample_r";
+        "two_sample" needs delta in (0, 1)); a Design passes through."""
+        if isinstance(mode, Design):
+            return mode
+        if mode in (ONE_SAMPLE, ONE_SAMPLE_R):
+            return cls(1.0, 0.0)
+        if mode == ONE_SAMPLE_S:
+            return cls(0.0, 1.0)
+        if mode != TWO_SAMPLE:
+            raise ConfigParse(f"unknown sampling mode {mode!r}")
+        if not (delta is not None and 0.0 < delta < 1.0):
+            raise ValueError("two-sample mode needs delta in (0, 1)")
+        return cls(delta, 1.0 - delta)
+
+    def combine(self, r_term, s_term):
+        """w_r r_term() + w_s s_term(); the term of a side of weight 0 is not
+        evaluated."""
+        return sum(w * term() for w, term in ((self.w_r, r_term), (self.w_s, s_term)) if w)
 
 
 def validate_measure(

@@ -17,10 +17,9 @@ from scipy import stats
 
 from .costs import CostModel, ConditionReport
 from .errors import EmptyInput, NonUniquePotentials
-from .measures import DiscreteMeasure, empirical_measure
+from .measures import Design, DiscreteMeasure, empirical_measure
 from .sinkhorn import SolveConfig, exact_ot_small, sinkhorn_divergence, solve
 from .sensitivity import (
-    ONE_SAMPLE_R,
     build_operators,
     divergence_variance,
     functional_covariance,
@@ -57,6 +56,13 @@ class ExperimentConfig:
         if self.m is None:
             return None
         return self.m / (self.n + self.m)
+
+    @property
+    def design(self) -> Design:
+        """One sample from r without m; two samples, weighted (delta, 1 - delta), with it."""
+        if self.m is None:
+            return Design(1.0, 0.0)
+        return Design(self.delta, 1.0 - self.delta)
 
     @property
     def rate(self) -> float:
@@ -109,19 +115,14 @@ def _normal_or_degenerate_cdf(sigma2: float):
 
 
 def _run_replications(fn, replications: int, seed, threads: int) -> np.ndarray:
-    """Evaluate fn(rep_index, rng) for each replication, deterministically."""
+    """fn(rng) on each replication's own generator, in replication order:
+    shape (R,) for a scalar statistic, (R, k) for a k-vector."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    seeds = ss.spawn(replications)
-    rngs = [np.random.default_rng(s) for s in seeds]
-    out = np.empty(replications)
+    rngs = [np.random.default_rng(s) for s in ss.spawn(replications)]
     if threads <= 1:
-        for i, rng in enumerate(rngs):
-            out[i] = fn(i, rng)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, v in enumerate(pool.map(fn, range(replications), rngs)):
-                out[i] = v
-    return out
+        return np.array([fn(rng) for rng in rngs], dtype=float)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return np.array(list(pool.map(fn, rngs)), dtype=float)
 
 
 def _sample_from(measure: DiscreteMeasure, n: int, rng) -> DiscreteMeasure:
@@ -160,7 +161,7 @@ def _bootstrap(sample, s, m, lam, B, seed, space, threads, cfg, f):
     n = sample.size
     warm = (base.alpha, base.beta)
 
-    def one(_i, rng):
+    def one(rng):
         resampled = sample[rng.integers(0, n, size=n)]
         r_star = empirical_measure(resampled, space)
         sol = solve(r_star, s, m, lam, cfg, warm_start=warm)
@@ -186,58 +187,47 @@ def mc_clt_experiment(r: DiscreteMeasure, s: DiscreteMeasure, m: CostModel,
             "theorem may not apply",
             RuntimeWarning,
         )
-    lam = cfg.lam
-    mode = ONE_SAMPLE_R if cfg.m is None else "two_sample"
-    pop = solve(r, s, m, lam, cfg.solve_cfg)
+    lam, design, solve_cfg = cfg.lam, cfg.design, cfg.solve_cfg
+    pop = solve(r, s, m, lam, solve_cfg)
     warm = (pop.alpha, pop.beta)
 
+    def from_solution(read):
+        """(pop_stat, stat_of) for a statistic read off the solution; the
+        replications re-solve warm-started from the population potentials."""
+        return read(pop), lambda r_hat, s_hat: read(
+            solve(r_hat, s_hat, m, lam, solve_cfg, warm_start=warm))
+
+    # each statistic: its limit variance, population value and plug-in map
     if cfg.statistic == VALUE_CLT:
-        target = value_variance(pop, r, s, mode, cfg.delta)
-        pop_stat = pop.value
-
-        def stat_of(sol):
-            return sol.value
-
+        target = value_variance(pop, r, s, design)
+        pop_stat, stat_of = from_solution(lambda sol: sol.value)
     elif cfg.statistic == SINKHORN_COST_CLT:
         ops = build_operators(pop, r, s, m)
-        target = sinkhorn_cost_variance(ops, r, s, m, mode, cfg.delta)
-        pop_stat = pop.cost_part
-
-        def stat_of(sol):
-            return sol.cost_part
-
+        target = sinkhorn_cost_variance(ops, r, s, m, design)
+        pop_stat, stat_of = from_solution(lambda sol: sol.cost_part)
     elif cfg.statistic == PLAN_FUNCTIONAL_CLT:
         if cfg.f is None:
             raise ValueError("PlanFunctionalCLT needs a test table f")
         f = np.asarray(cfg.f, dtype=float)
         ops = build_operators(pop, r, s, m)
-        target = float(functional_covariance(ops, r, s, [f], mode, cfg.delta)[0, 0])
-        pop_stat = float(np.sum(f * pop.plan))
-
-        def stat_of(sol):
-            return float(np.sum(f * sol.plan))
-
+        target = float(functional_covariance(ops, r, s, [f], design)[0, 0])
+        pop_stat, stat_of = from_solution(lambda sol: float(np.sum(f * sol.plan)))
     elif cfg.statistic == DIVERGENCE_CLT:
-        target = divergence_variance(r, s, m, lam, mode, cfg.delta, cfg.solve_cfg)
-        pop_stat = sinkhorn_divergence(r, s, m, lam, cfg.solve_cfg)
+        target = divergence_variance(r, s, m, lam, design, cfg=solve_cfg)
 
-        def stat_of(_):
-            raise NotImplementedError  # handled in the replication body
+        def stat_of(r_hat, s_hat):
+            return sinkhorn_divergence(r_hat, s_hat, m, lam, solve_cfg)
 
+        pop_stat = stat_of(r, s)
     else:
         raise ValueError(f"unknown statistic {cfg.statistic!r}")
 
     rate = cfg.rate
 
-    def one(_i, rng):
+    def one(rng):
         r_hat = _sample_from(r, cfg.n, rng)
-        s_hat = _sample_from(s, cfg.m, rng) if cfg.m is not None else s
-        if cfg.statistic == DIVERGENCE_CLT:
-            stat = sinkhorn_divergence(r_hat, s_hat, m, lam, cfg.solve_cfg)
-        else:
-            sol = solve(r_hat, s_hat, m, lam, cfg.solve_cfg, warm_start=warm)
-            stat = stat_of(sol)
-        return rate * (stat - pop_stat)
+        s_hat = _sample_from(s, cfg.m, rng) if design.w_s else s
+        return rate * (stat_of(r_hat, s_hat) - pop_stat)
 
     draws = _run_replications(one, cfg.replications, cfg.seed, cfg.threads)
     ks = ks_statistic(draws, _normal_or_degenerate_cdf(target))
@@ -306,21 +296,17 @@ def vanishing_lambda_experiment(
     size_seeds = np.random.SeedSequence(seed).spawn(len(sample_sizes))
     for n, lam, size_seed in zip(sample_sizes, lambdas, size_seeds):
 
-        def one(_i, rng, n=n, lam=lam):
+        def one(rng, n=n, lam=lam):
+            """(plug-in variance Var_{r_hat}[alpha], standardized value draw)"""
             r_hat = _sample_from(r, n, rng)
             ot_hat = exact_ot_small(r_hat, s, m)
             sol = solve(r_hat, s, m, lam, cfg, warm_start=(ot_hat.alpha0, ot_hat.beta0))
             mean = sol.alpha @ r_hat.weights
             var_hat = float((sol.alpha - mean) ** 2 @ r_hat.weights)
-            value_draw = np.sqrt(n) * (sol.value - ot.value)
-            # pack both numbers into one float array slot via a side list
-            one.values[_i] = value_draw
-            return var_hat
+            return var_hat, np.sqrt(n) * (sol.value - ot.value)
 
-        one.values = np.empty(replications)
-        var_hats = _run_replications(one, replications, size_seed, threads)
+        var_hats, last_draws = _run_replications(one, replications, size_seed, threads).T
         trace.append(abs(float(var_hats.mean()) - var0))
-        last_draws = one.values.copy()
 
     ks = ks_statistic(last_draws, _normal_or_degenerate_cdf(var0))
     return VanishingLambdaReport(

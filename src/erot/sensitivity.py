@@ -47,20 +47,17 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .costs import CostModel
 from .errors import (
-    AsymmetricSetup,
     ContractionViolated,
+    NonConvergence,
     NotInTangentCone,
     UnboundedXVariation,
     ZeroMassAtom,
 )
-from .measures import DiscreteMeasure, SignedVector
-from .sinkhorn import Normalization, SinkhornSolution, SolveConfig, solve
+# the mode spellings stay importable from here
+from .measures import ONE_SAMPLE_R, ONE_SAMPLE_S, TWO_SAMPLE, Design, DiscreteMeasure, SignedVector
+from .sinkhorn import Normalization, SinkhornSolution, SolveConfig, _require_symmetric, solve
 
 TANGENT_TOL = 1e-10
-
-ONE_SAMPLE_R = "one_sample_r"
-ONE_SAMPLE_S = "one_sample_s"
-TWO_SAMPLE = "two_sample"
 
 
 @dataclass(frozen=True)
@@ -79,19 +76,12 @@ class DerivativeOperators:
     base: SinkhornSolution  # anchored normalization, beta[y1] = 0
     r: DiscreteMeasure
     s: DiscreteMeasure
-    y1_index: int
     AX: np.ndarray  # (nx, ny-1)
     AY: np.ndarray  # (ny-1, nx)
     BX: np.ndarray  # (nx, ny), full tensor-quotient pi/(r x s)
     BY: np.ndarray  # (ny-1, nx)
     contraction_norm: float
     lu: tuple  # scipy.linalg.lu_factor of I - AX AY
-
-    @property
-    def keep_y(self) -> np.ndarray:
-        mask = np.ones(self.s.space.size, dtype=bool)
-        mask[self.y1_index] = False
-        return mask
 
 
 def build_operators(
@@ -103,7 +93,8 @@ def build_operators(
     """Assemble the derivative operators at a converged solution.
 
     Requires full support of both marginals and bounded X-variation of the
-    cost (which guarantees the contraction property of AX AY).
+    cost (which guarantees the contraction property of AX AY).  Full support
+    puts y1 at index 0, so Y* is every column but the first.
     """
     if np.any(r.weights <= 0) or np.any(s.weights <= 0):
         raise ZeroMassAtom("plan derivative requires full support of both marginals")
@@ -112,27 +103,27 @@ def build_operators(
             "plan derivative requires sup_x (cX+ - cX-)(x) < infinity"
         )
     base = sol.renormalized(Normalization.ANCHORED_AT_Y1, r, s)
-    y1 = int(np.argmax(s.weights > 0))
-    keep = np.ones(s.space.size, dtype=bool)
-    keep[y1] = False
-    pi = base.plan
-    AX = pi[:, keep] / r.weights[:, None]
-    AY = (pi[:, keep] / s.weights[None, keep]).T
-    B = pi / (r.weights[:, None] * s.weights[None, :])
+    # column-major copy of the plan off y1: the layout fixes the summation
+    # order of the BLAS products on AX and AY below
+    pi_k = np.asfortranarray(base.plan[:, 1:])
+    AX = pi_k / r.weights[:, None]
+    AY = (pi_k / s.weights[None, 1:]).T
+    B = base.plan / (r.weights[:, None] * s.weights[None, :])
     MX = AX @ AY
-    norm = float(np.max(np.abs(MX).sum(axis=1))) if keep.any() else 0.0
+    norm = float(np.max(np.abs(MX).sum(axis=1)))
     if norm >= 1.0 - 1e-9:
         raise ContractionViolated(
             f"operator norm of AX AY is {norm:.12f}, too close to 1 for inversion"
         )
     if norm > 0.999:
         warnings.warn(
-            f"AX AY contraction norm {norm:.6f} is close to 1; derivative may be ill-conditioned",
+            f"AX AY contraction norm is 1 - {1.0 - norm:.1e}, close to 1; "
+            "derivative may be ill-conditioned",
             RuntimeWarning,
         )
-    # full support puts y1 at index 0, so BY = B[:, keep].T is a view of BX
+    # BY is a view of BX, so the operators hold one n x n table less
     return DerivativeOperators(
-        base=base, r=r, s=s, y1_index=y1, AX=AX, AY=AY, BX=B, BY=B[:, 1:].T,
+        base=base, r=r, s=s, AX=AX, AY=AY, BX=B, BY=B[:, 1:].T,
         contraction_norm=norm, lu=lu_factor(np.eye(MX.shape[0]) - MX),
     )
 
@@ -145,15 +136,20 @@ def _check_tangent(h: SignedVector, name: str):
 
 def _neumann_solve(M: np.ndarray, rhs: np.ndarray, norm: float, tol: float = 1e-14,
                    max_terms: int = 10_000) -> np.ndarray:
-    """(I - M)^{-1} rhs by summing the Neumann series; M must be a contraction."""
+    """(I - M)^{-1} rhs by summing the Neumann series; M must be a contraction.
+    Raises NonConvergence if the terms are still above tolerance after
+    `max_terms` of them."""
     out = rhs.copy()
     term = rhs.copy()
     for _ in range(max_terms):
         term = M @ term
         out += term
         if np.max(np.abs(term)) <= tol * (1.0 - norm):
-            break
-    return out
+            return out
+    raise NonConvergence(
+        f"Neumann series not below tolerance after {max_terms} terms",
+        iterations=max_terms, residual=float(np.max(np.abs(term))),
+    )
 
 
 def _potential_corrections(ops: DerivativeOperators, HX: np.ndarray, HY: np.ndarray,
@@ -172,17 +168,6 @@ def _potential_corrections(ops: DerivativeOperators, HX: np.ndarray, HY: np.ndar
     return a, b
 
 
-def _plan_derivative_raw(ops: DerivativeOperators, hX: np.ndarray, hY: np.ndarray,
-                         method: str = "direct") -> np.ndarray:
-    pi = ops.base.plan
-    rw, sw = ops.r.weights, ops.s.weights
-    a, b = _potential_corrections(ops, hX, hY, method)
-    b_full = np.zeros(sw.size)
-    b_full[ops.keep_y] = b
-    # (pi/(r (x) s)) . [r (x) hY + hX (x) s] = pi . (hX/r (+) hY/s)
-    return pi * ((hX / rw - a)[:, None] + (hY / sw - b_full)[None, :])
-
-
 def plan_derivative(ops: DerivativeOperators, hX: SignedVector, hY: SignedVector,
                     method: str = "direct") -> np.ndarray:
     """Directional derivative of the entropic plan at (r, s) along (hX, hY).
@@ -193,7 +178,11 @@ def plan_derivative(ops: DerivativeOperators, hX: SignedVector, hY: SignedVector
     """
     _check_tangent(hX, "hX")
     _check_tangent(hY, "hY")
-    return _plan_derivative_raw(ops, hX.entries, hY.entries, method)
+    a, b = _potential_corrections(ops, hX.entries, hY.entries, method)
+    b_full = np.concatenate(([0.0], b))  # beta[y1] stays anchored at 0
+    # (pi/(r (x) s)) . [r (x) hY + hX (x) s] = pi . (hX/r (+) hY/s)
+    return ops.base.plan * ((hX.entries / ops.r.weights - a)[:, None]
+                            + (hY.entries / ops.s.weights - b_full)[None, :])
 
 
 def value_derivative(sol: SinkhornSolution, hX: SignedVector, hY: SignedVector) -> float:
@@ -212,49 +201,29 @@ def _variance_under(weights: np.ndarray, values: np.ndarray) -> float:
     return float(max(0.0, (values - mean) ** 2 @ weights))
 
 
-def _check_mode(mode: str, delta: float | None):
-    if mode not in (ONE_SAMPLE_R, ONE_SAMPLE_S, TWO_SAMPLE):
-        raise ValueError(f"unknown sampling mode {mode!r}")
-    if mode == TWO_SAMPLE and not (delta is not None and 0.0 < delta < 1.0):
-        raise ValueError("two-sample mode needs delta in (0, 1)")
-
-
 def value_variance(sol: SinkhornSolution, r: DiscreteMeasure, s: DiscreteMeasure,
-                   mode: str = ONE_SAMPLE_R, delta: float | None = None) -> float:
-    """Limit variance of the plug-in EROT value: Var_r[alpha], Var_s[beta], or
-    the delta-weighted two-sample combination."""
-    _check_mode(mode, delta)
-    var_r = _variance_under(r.weights, sol.alpha)
-    var_s = _variance_under(s.weights, sol.beta)
-    if mode == ONE_SAMPLE_R:
-        return var_r
-    if mode == ONE_SAMPLE_S:
-        return var_s
-    return delta * var_r + (1.0 - delta) * var_s
+                   mode: str | Design = ONE_SAMPLE_R, delta: float | None = None) -> float:
+    """Limit variance w_r Var_r[alpha] + w_s Var_s[beta] of the plug-in EROT
+    value under the sampling design `Design.of(mode, delta)`."""
+    return Design.of(mode, delta).combine(
+        lambda: _variance_under(r.weights, sol.alpha),
+        lambda: _variance_under(s.weights, sol.beta),
+    )
 
 
 def divergence_variance(r: DiscreteMeasure, s: DiscreteMeasure, m: CostModel,
-                        lam: float, mode: str = ONE_SAMPLE_R,
+                        lam: float, mode: str | Design = ONE_SAMPLE_R,
                         delta: float | None = None,
                         cfg: SolveConfig = SolveConfig()) -> float:
     """Limit variance of the plug-in Sinkhorn divergence; degenerates to 0 at
     r = s because the debiasing term has the same derivative there."""
-    _check_mode(mode, delta)
-    if not m.is_symmetric:
-        raise AsymmetricSetup("Sinkhorn divergence needs X = Y and a symmetric cost")
+    design = Design.of(mode, delta)
+    _require_symmetric(m)
     sol_rs = solve(r, s, m, lam, cfg)
-    var_r = var_s = 0.0
-    if mode in (ONE_SAMPLE_R, TWO_SAMPLE):
-        sol_rr = solve(r, r, m, lam, cfg)
-        var_r = _variance_under(r.weights, sol_rs.alpha - sol_rr.alpha)
-    if mode in (ONE_SAMPLE_S, TWO_SAMPLE):
-        sol_ss = solve(s, s, m, lam, cfg)
-        var_s = _variance_under(s.weights, sol_rs.beta - sol_ss.beta)
-    if mode == ONE_SAMPLE_R:
-        return var_r
-    if mode == ONE_SAMPLE_S:
-        return var_s
-    return delta * var_r + (1.0 - delta) * var_s
+    return design.combine(
+        lambda: _variance_under(r.weights, sol_rs.alpha - solve(r, r, m, lam, cfg).alpha),
+        lambda: _variance_under(s.weights, sol_rs.beta - solve(s, s, m, lam, cfg).beta),
+    )
 
 
 def _functional_jacobians(ops: DerivativeOperators, fns):
@@ -269,7 +238,7 @@ def _functional_jacobians(ops: DerivativeOperators, fns):
     F = np.array([np.asarray(f, dtype=float) * pi for f in fns]).reshape((-1,) + pi.shape)
     gx = F.sum(axis=2)
     gy_full = F.sum(axis=1)
-    gy = gy_full[:, ops.keep_y]
+    gy = gy_full[:, 1:]
     P = lu_solve(ops.lu, (gx - gy @ ops.AY).T, trans=1).T
     JX = gx / ops.r.weights - (gy - P @ ops.AX) @ ops.BY
     JY = gy_full / ops.s.weights - P @ ops.BX
@@ -277,28 +246,23 @@ def _functional_jacobians(ops: DerivativeOperators, fns):
 
 
 def functional_covariance(ops: DerivativeOperators, r: DiscreteMeasure,
-                          s: DiscreteMeasure, fns, mode: str = ONE_SAMPLE_R,
+                          s: DiscreteMeasure, fns, mode: str | Design = ONE_SAMPLE_R,
                           delta: float | None = None) -> np.ndarray:
     """Limit covariance matrix of the plug-in plan functionals <f, pi> for a
     list of test tables f, pushing the multinomial Gaussian through the plan
-    derivative."""
-    _check_mode(mode, delta)
+    derivative: w_r JX Sigma_r JX^T + w_s JY Sigma_s JY^T."""
+    design = Design.of(mode, delta)
     JX, JY = _functional_jacobians(ops, fns)
-    cov = np.zeros((len(fns), len(fns)))
-    if mode in (ONE_SAMPLE_R, TWO_SAMPLE):
-        Sr = multinomial_covariance(r).matrix
-        cov_r = JX @ Sr @ JX.T
-        cov += cov_r if mode == ONE_SAMPLE_R else delta * cov_r
-    if mode in (ONE_SAMPLE_S, TWO_SAMPLE):
-        Ss = multinomial_covariance(s).matrix
-        cov_s = JY @ Ss @ JY.T
-        cov += cov_s if mode == ONE_SAMPLE_S else (1.0 - delta) * cov_s
+    cov = design.combine(
+        lambda: JX @ multinomial_covariance(r).matrix @ JX.T,
+        lambda: JY @ multinomial_covariance(s).matrix @ JY.T,
+    )
     return 0.5 * (cov + cov.T)
 
 
 def sinkhorn_cost_variance(ops: DerivativeOperators, r: DiscreteMeasure,
                            s: DiscreteMeasure, m: CostModel,
-                           mode: str = ONE_SAMPLE_R,
+                           mode: str | Design = ONE_SAMPLE_R,
                            delta: float | None = None) -> float:
     """Limit variance of the plug-in Sinkhorn cost <c, pi>; the f = c case of
     the functional covariance."""
@@ -324,14 +288,15 @@ def sample_multinomial_gaussian(r: DiscreteMeasure, n_draws: int,
 
 
 def sample_limit(ops: DerivativeOperators, statistic: str, n_draws: int, seed,
-                 mode: str = ONE_SAMPLE_R, delta: float | None = None,
+                 mode: str | Design = ONE_SAMPLE_R, delta: float | None = None,
                  f: np.ndarray | None = None) -> np.ndarray:
     """Reference draws of the Gaussian limit of a plug-in statistic.
 
     statistic: "value" for the EROT value, "plan_functional" for <f, pi>
-    (requires f).  Deterministic under a fixed seed.
+    (requires f).  Each sampled side contributes sqrt(w) times its Gaussian,
+    r first.  Deterministic under a fixed seed.
     """
-    _check_mode(mode, delta)
+    design = Design.of(mode, delta)
     if n_draws == 0:
         return np.empty(0)
     if statistic == "value":
@@ -345,12 +310,7 @@ def sample_limit(ops: DerivativeOperators, statistic: str, n_draws: int, seed,
         raise ValueError(f"unknown statistic {statistic!r}")
     rng = np.random.default_rng(seed)
     draws = np.zeros(n_draws)
-    if mode in (ONE_SAMPLE_R, TWO_SAMPLE):
-        Gr = sample_multinomial_gaussian(ops.r, n_draws, rng)
-        scale = 1.0 if mode == ONE_SAMPLE_R else np.sqrt(delta)
-        draws += scale * Gr @ gX
-    if mode in (ONE_SAMPLE_S, TWO_SAMPLE):
-        Gs = sample_multinomial_gaussian(ops.s, n_draws, rng)
-        scale = 1.0 if mode == ONE_SAMPLE_S else np.sqrt(1.0 - delta)
-        draws += scale * Gs @ gY
+    for w, measure, g in ((design.w_r, ops.r, gX), (design.w_s, ops.s, gY)):
+        if w:
+            draws += np.sqrt(w) * sample_multinomial_gaussian(measure, n_draws, rng) @ g
     return draws

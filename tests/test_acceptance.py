@@ -223,6 +223,7 @@ class TestContraction:
 
 
 class TestValueCLT:
+    @pytest.mark.slow
     def test_ks_against_gaussian_limit(self, reference_value_mc):
         rep = reference_value_mc
         assert rep.runtime <= 600
@@ -243,6 +244,7 @@ class TestValueCLT:
             f"{rep.sample_var / rep.target_sigma2:.3f}x the target"
         )
 
+    @pytest.mark.slow
     def test_ks_on_light_tailed_instance(self):
         # same theorem, an instance whose atoms all have large expected
         # counts at n = 2000: the Gaussian limit is already accurate
@@ -258,6 +260,7 @@ class TestValueCLT:
 
 
 class TestSinkhornCostCLT:
+    @pytest.mark.slow
     def test_mc_variance_matches_plugin(self, reference_instance):
         r, s, m, _ = reference_instance
         cfg = ExperimentConfig(
@@ -300,6 +303,7 @@ class TestSinkhornCostCLT:
         fd = float(g @ multinomial_covariance(r).matrix @ g)
         assert target == pytest.approx(fd, rel=1e-5)
 
+    @pytest.mark.slow
     def test_mc_variance_on_light_tailed_instance(self):
         rng = np.random.default_rng(700)
         sp = erot.integer_grid(5)
@@ -328,6 +332,7 @@ class TestSinkhornCostCLT:
 
 
 class TestBootstrap:
+    @pytest.mark.slow
     def test_bootstrap_matches_mc_law(self, reference_instance, reference_value_mc):
         r, s, m, _ = reference_instance
         sample = np.random.default_rng(800).choice(
@@ -345,6 +350,7 @@ class TestBootstrap:
             f"bootstrap-vs-MC KS {ks:.4f} exceeds 0.07 at n={REF_VALUE_N}"
         )
 
+    @pytest.mark.slow
     def test_bootstrap_matches_mc_on_light_tailed_instance(self):
         rng = np.random.default_rng(810)
         sp = erot.integer_grid(6)

@@ -137,6 +137,22 @@ class TestCheckConditions:
         assert "ConfigParse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand, extra", [
+    ("variance", []),
+    ("plan-cov", ["--functions", "fns.json"]),
+    ("check-conditions", ["--theorem", "value"]),
+])
+def test_unknown_mode_is_config_parse(instance, capsys, monkeypatch, subcommand, extra):
+    paths, tmp = instance
+    (tmp / "fns.json").write_text(json.dumps([np.ones((3, 3)).tolist()]))
+    monkeypatch.chdir(tmp)
+    code = main([subcommand, *_base(paths, "--lambda", "1", "--mode", "bogus", *extra,
+                                    "--out", str(tmp / "x.json"))])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "ConfigParse", "message": "unknown sampling mode 'bogus'"}
+
+
 def test_variance_and_plan_cov(instance):
     paths, tmp = instance
     out_v = tmp / "var.json"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -136,6 +138,16 @@ class TestMCExperiment:
         with pytest.warns(RuntimeWarning):
             mc_clt_experiment(poly, geo, m, cfg, conditions=report)
 
+    def test_two_sample_reproducible_with_delta_weighted_target(self):
+        r, s, m = _instance(8)
+        cfg = ExperimentConfig(statistic=VALUE_CLT, n=150, m=250, replications=15, seed=6)
+        a = mc_clt_experiment(r, s, m, cfg)
+        b = mc_clt_experiment(r, s, m, replace(cfg, threads=3))
+        assert np.array_equal(a.standardized_draws, b.standardized_draws)
+        pop = erot.solve(r, s, m, 1.0)
+        assert a.target_sigma2 == erot.value_variance(pop, r, s, "two_sample", 250 / 400)
+        assert cfg.design == erot.Design(250 / 400, 150 / 400)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(replications=0)
@@ -167,3 +179,15 @@ class TestVanishingLambda:
         assert a.variance_trace == b.variance_trace
         assert a.var_alpha0 > 0
         assert len(a.lambdas) == 2 and a.lambdas[0] > a.lambdas[1]
+
+    def test_draws_independent_of_thread_count(self):
+        sp = erot.integer_grid(6)
+        r = erot.validate_measure([0.28, 0.22, 0.17, 0.13, 0.11, 0.09], sp)
+        s = erot.validate_measure([0.08, 0.12, 0.14, 0.18, 0.21, 0.27], sp)
+        m, _ = erot.build_cost({"family": "bounded", "p": 1}, sp, sp, 1.0)
+        kw = dict(sample_sizes=(60, 120), replications=7, seed=9)
+        a = vanishing_lambda_experiment(r, s, m, **kw, threads=1)
+        b = vanishing_lambda_experiment(r, s, m, **kw, threads=3)
+        assert a.standardized_draws.shape == (7,)
+        assert np.array_equal(a.standardized_draws, b.standardized_draws)
+        assert a.variance_trace == b.variance_trace

@@ -3,12 +3,15 @@ import pytest
 
 import erot
 from erot.errors import (
+    ConfigParse,
     ContractionViolated,
+    NonConvergence,
     NotInTangentCone,
     UnboundedXVariation,
     ZeroMassAtom,
 )
 from erot.sensitivity import (
+    _neumann_solve,
     ONE_SAMPLE_R,
     ONE_SAMPLE_S,
     TWO_SAMPLE,
@@ -302,3 +305,58 @@ class TestSampling:
             sample_limit(ops, "plan_functional", 10, seed=3)
         with pytest.raises(ValueError):
             sample_limit(ops, "median", 10, seed=3)
+
+    @pytest.mark.parametrize("mode, delta", [(ONE_SAMPLE_S, None), (TWO_SAMPLE, 0.35)])
+    def test_sample_limit_variance_in_other_designs(self, mode, delta):
+        r, s, m, sol = _instance(17)
+        ops = build_operators(sol, r, s, m)
+        draws = sample_limit(ops, "value", 100_000, seed=11, mode=mode, delta=delta)
+        target = value_variance(sol, r, s, mode, delta)
+        assert np.var(draws) == pytest.approx(target, rel=0.05)
+
+
+class TestDesign:
+    def test_one_sample_is_one_sample_r(self):
+        r, s, m, sol = _instance(18)
+        ops = build_operators(sol, r, s, m)
+        tables = [m.cost, np.arange(25.0).reshape(5, 5)]
+        _, profile = erot.build_cost({"family": "custom", "cost": m.cost}, r.space, s.space, 1.0)
+        assert value_variance(sol, r, s, "one_sample") == value_variance(sol, r, s, ONE_SAMPLE_R)
+        assert np.array_equal(functional_covariance(ops, r, s, tables, "one_sample"),
+                              functional_covariance(ops, r, s, tables, ONE_SAMPLE_R))
+        assert (erot.check_value_conditions(r, s, profile, "one_sample").to_dict()
+                == erot.check_value_conditions(r, s, profile, ONE_SAMPLE_R).to_dict())
+
+    def test_weights_of_each_spelling(self):
+        assert erot.Design.of("one_sample") == erot.Design(1.0, 0.0)
+        assert erot.Design.of(ONE_SAMPLE_S) == erot.Design(0.0, 1.0)
+        assert erot.Design.of(TWO_SAMPLE, 0.25) == erot.Design(0.25, 0.75)
+
+    def test_invalid_modes(self):
+        r, s, m, sol = _instance(19)
+        with pytest.raises(ConfigParse, match="unknown sampling mode"):
+            value_variance(sol, r, s, "bogus")
+        with pytest.raises(ValueError, match="delta"):
+            value_variance(sol, r, s, TWO_SAMPLE, 1.0)
+
+
+class TestNeumannAndConditioning:
+    def test_neumann_raises_when_truncated(self):
+        M = np.array([[0.5, 0.2], [0.1, 0.6]])
+        rhs = np.array([1.0, -1.0])
+        with pytest.raises(NonConvergence) as info:
+            _neumann_solve(M, rhs, norm=0.7, max_terms=5)
+        assert info.value.iterations == 5
+        assert info.value.residual > 0
+        full = _neumann_solve(M, rhs, norm=0.7)
+        assert np.allclose(full, np.linalg.solve(np.eye(2) - M, rhs), atol=1e-12)
+
+    def test_near_one_warning_reports_the_gap(self):
+        # 21-atom reference instance: geometric q = 0.7, cost |x - y|, lambda = 1
+        sp = erot.integer_grid(21)
+        g = erot.geometric_measure(sp, 0.7)
+        m, _ = erot.build_cost({"family": "bounded", "p": 1}, sp, sp, 1.0)
+        sol = erot.solve(g, g, m, 1.0)
+        with pytest.warns(RuntimeWarning, match=r"contraction norm is 1 - 4\.5e-08"):
+            ops = build_operators(sol, g, g, m)
+        assert 1.0 - ops.contraction_norm == pytest.approx(4.5e-8, rel=0.05)

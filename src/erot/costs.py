@@ -501,35 +501,38 @@ def _aggregate(sums, theorem_tag) -> ConditionReport:
     return ConditionReport(tuple(sums), overall, theorem_tag)
 
 
+def _value_gates(profile: WeightProfile, mu: DiscreteMeasure, letter: str,
+                 roles: tuple, sampled: bool) -> list:
+    """The three value-CLT sums of one side.  `roles` names that side's
+    weights (a, b, e): ("C_X", "Ct_X", "et_X") for X and their mirrors
+    ("Ct_Y", "C_Y", "e_Y") for Y.  A sampled side needs sum a sqrt(mu),
+    sum b^2 mu and sum e^2 mu; a fixed side needs sum b mu, sum a mu and
+    sum e mu."""
+    g = profile.growth
+    a, b, e = roles
+    w = {k: getattr(profile, k).values for k in roles}
+    if sampled:
+        return [
+            _checked(f"sum {a} sqrt({letter})", w[a], mu.weights, 0.5, g[a], mu.tail),
+            _checked(f"sum {b}^2 {letter}", w[b]**2, mu.weights, 1.0, g[b].power(2), mu.tail),
+            _checked(f"sum {e}^2 {letter}", w[e]**2, mu.weights, 1.0, g[e].power(2), mu.tail),
+        ]
+    return [_checked(f"sum {k} {letter}", w[k], mu.weights, 1.0, g[k], mu.tail) for k in (b, a, e)]
+
+
 def check_value_conditions(
     r: DiscreteMeasure,
     s: DiscreteMeasure,
     profile: WeightProfile,
     mode: str | Design = "one_sample",
 ) -> ConditionReport:
-    """Summability gates for the value limit theorem.  The Y gates depend on
-    whether s is sampled ("two_sample", "one_sample_s") or fixed ("one_sample",
-    "one_sample_r"); the X gates always treat r as sampled."""
+    """Summability gates for the value limit theorem.  Each side's gates
+    depend on whether it is sampled: r is fixed only under "one_sample_s",
+    s is fixed under "one_sample" and "one_sample_r"."""
     # only which sides are sampled matters, so any delta in (0, 1) will do
-    s_sampled = bool(Design.of(mode, 0.5).w_s)
-    g = profile.growth
-    sums = [
-        _checked("sum C_X sqrt(r)", profile.C_X.values, r.weights, 0.5, g["C_X"], r.tail),
-        _checked("sum Ct_X^2 r", profile.Ct_X.values**2, r.weights, 1.0, g["Ct_X"].power(2), r.tail),
-        _checked("sum et_X^2 r", profile.et_X.values**2, r.weights, 1.0, g["et_X"].power(2), r.tail),
-    ]
-    if s_sampled:
-        sums += [
-            _checked("sum Ct_Y sqrt(s)", profile.Ct_Y.values, s.weights, 0.5, g["Ct_Y"], s.tail),
-            _checked("sum C_Y^2 s", profile.C_Y.values**2, s.weights, 1.0, g["C_Y"].power(2), s.tail),
-            _checked("sum e_Y^2 s", profile.e_Y.values**2, s.weights, 1.0, g["e_Y"].power(2), s.tail),
-        ]
-    else:
-        sums += [
-            _checked("sum C_Y s", profile.C_Y.values, s.weights, 1.0, g["C_Y"], s.tail),
-            _checked("sum Ct_Y s", profile.Ct_Y.values, s.weights, 1.0, g["Ct_Y"], s.tail),
-            _checked("sum e_Y s", profile.e_Y.values, s.weights, 1.0, g["e_Y"], s.tail),
-        ]
+    design = Design.of(mode, 0.5)
+    sums = (_value_gates(profile, r, "r", ("C_X", "Ct_X", "et_X"), bool(design.w_r))
+            + _value_gates(profile, s, "s", ("Ct_Y", "C_Y", "e_Y"), bool(design.w_s)))
     return _aggregate(sums, "value_clt")
 
 

@@ -104,10 +104,6 @@ class DiscreteMeasure:
     weights: np.ndarray
     tail: TailFamily | None = FINITE_TAIL
 
-    @property
-    def support(self) -> np.ndarray:
-        return self.weights > 0.0
-
 
 @dataclass(frozen=True)
 class SignedVector:

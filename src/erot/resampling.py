@@ -13,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .costs import CostModel, ConditionReport
 from .errors import EmptyInput, NonUniquePotentials
@@ -94,6 +93,8 @@ class MCReport:
 def ks_statistic(draws: np.ndarray, reference) -> float:
     """Sup distance between the empirical CDF of `draws` and a reference,
     either a CDF callable or a second sample (two-sample statistic)."""
+    from scipy import stats
+
     draws = np.asarray(draws, dtype=float)
     if draws.size == 0:
         raise EmptyInput("no draws supplied")
@@ -108,6 +109,8 @@ def ks_statistic(draws: np.ndarray, reference) -> float:
 
 
 def _normal_or_degenerate_cdf(sigma2: float):
+    from scipy import stats
+
     if sigma2 > 1e-14:
         sd = float(np.sqrt(sigma2))
         return lambda x: stats.norm.cdf(x, scale=sd)

@@ -5,10 +5,20 @@ Solves the dual fixed-point system by alternating log-domain updates
     alpha_x = -lam * log sum_y exp((beta_y - c(x,y))/lam) s_y,
 
 restricted to the supports of the marginals, then extends potentials to
-zero-mass atoms via the same right-hand sides.  Also provides the Sinkhorn
-divergence, quantitative potential/plan bounds, an exact unregularized
-transport oracle for small instances, and the vanishing-regularization gap
-chain  0 <= S - OT <= EROT - OT <= lam * H(r, s).
+zero-mass atoms via the same right-hand sides.
+
+Each sweep is fused and runs in place.  It writes (pot - c)/lam + log w into
+one kx x ky workspace, then subtracts the row (or, for beta, the column)
+maximum, exponentiates, sums and takes the log there.  The workspace is
+allocated once per `solve` call and never shared between calls, so threaded
+callers stay bit-reproducible; the beta sweep reduces along the columns of
+the same table instead of a transposed copy, and the final plan is built in
+the workspace too.  At full support the cost table is used without a copy
+and no potential needs back-filling.
+
+Also provides the Sinkhorn divergence, quantitative potential/plan bounds,
+an exact unregularized transport oracle for small instances, and the
+vanishing-regularization gap chain  0 <= S - OT <= EROT - OT <= lam * H(r, s).
 """
 
 from __future__ import annotations
@@ -17,10 +27,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
-from scipy.sparse.csgraph import connected_components
-from scipy.special import logsumexp
 
 from .costs import CostModel, WeightProfile
 from .errors import (
@@ -77,10 +83,23 @@ class SinkhornSolution:
         )
 
 
-def _log_update(log_w_other: np.ndarray, pot_other: np.ndarray, cost: np.ndarray,
-                lam: float) -> np.ndarray:
-    """-lam * log sum_j exp((pot_other_j - cost_ij)/lam) w_j, rows of `cost`."""
-    return -lam * logsumexp((pot_other[None, :] - cost) / lam + log_w_other[None, :], axis=1)
+def _log_update(log_w: np.ndarray, pot: np.ndarray, cost: np.ndarray, lam: float,
+                axis: int, work: np.ndarray) -> np.ndarray:
+    """-lam * log sum_j exp((pot_j - cost_ij)/lam) w_j, summing along `axis`
+    of `cost`.
+
+    `pot` and `log_w` run along `axis`.  The sweep overwrites `work`, an
+    array of the shape of `cost` (it may be `cost` itself), with the
+    max-shifted exponentials; nothing of that shape is allocated.
+    """
+    along = (1, -1) if axis == 1 else (-1, 1)
+    np.subtract(pot.reshape(along), cost, out=work)
+    work /= lam
+    work += log_w.reshape(along)
+    top = work.max(axis=axis, keepdims=True)
+    work -= top
+    np.exp(work, out=work)
+    return -lam * (np.log(work.sum(axis=axis)) + top.reshape(-1))
 
 
 def solve(
@@ -102,21 +121,26 @@ def solve(
     rw, sw = r.weights, s.weights
     ix = np.flatnonzero(rw > 0)
     iy = np.flatnonzero(sw > 0)
-    c = m.cost[np.ix_(ix, iy)]
+    off_x = np.flatnonzero(rw == 0)
+    off_y = np.flatnonzero(sw == 0)
+    c = m.cost if off_x.size + off_y.size == 0 else m.cost[np.ix_(ix, iy)]
     rr, ss = rw[ix], sw[iy]
     log_r, log_s = np.log(rr), np.log(ss)
+    # the one kx x ky workspace of this call: every sweep runs in it, and at
+    # full support it becomes the returned plan
+    work = np.empty(c.shape)
 
     if warm_start is not None:
-        alpha = np.asarray(warm_start[0], dtype=float)[ix].copy()
+        alpha = np.asarray(warm_start[0], dtype=float)[ix]
     else:
         alpha = np.zeros(ix.size)
-    beta = _log_update(log_r, alpha, c.T, lam)
+    beta = _log_update(log_r, alpha, c, lam, 0, work)
     residual = np.inf
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
         # after the alpha update the plan's row marginals equal r exactly
-        alpha = _log_update(log_s, beta, c, lam)
-        beta_new = _log_update(log_r, alpha, c.T, lam)
+        alpha = _log_update(log_s, beta, c, lam, 1, work)
+        beta_new = _log_update(log_r, alpha, c, lam, 0, work)
         # column-marginal l1 residual of the current plan, no matrix needed
         residual = float(ss @ np.abs(np.exp((beta - beta_new) / lam) - 1.0))
         if residual <= cfg.tol:
@@ -129,11 +153,18 @@ def solve(
             residual=residual,
         )
 
-    # extend to zero-mass atoms via the fixed-point right-hand sides
-    alpha_full = _log_update(log_s, beta, m.cost[:, iy], lam)
-    beta_full = _log_update(log_r, alpha, m.cost[np.ix_(ix, np.arange(s.space.size))].T, lam)
+    # extend to zero-mass atoms via the fixed-point right-hand sides (each
+    # fancy-indexed cost copy is its own workspace)
+    alpha_full = np.empty(rw.size)
+    beta_full = np.empty(sw.size)
     alpha_full[ix] = alpha
     beta_full[iy] = beta
+    if off_x.size:
+        c_off = m.cost[np.ix_(off_x, iy)]
+        alpha_full[off_x] = _log_update(log_s, beta, c_off, lam, 1, c_off)
+    if off_y.size:
+        c_off = m.cost[np.ix_(ix, off_y)]
+        beta_full[off_y] = _log_update(log_r, alpha, c_off, lam, 0, c_off)
 
     if cfg.normalization == Normalization.BALANCED:
         shift = 0.5 * (beta_full @ sw - alpha_full @ rw)
@@ -142,10 +173,20 @@ def solve(
     alpha_full += shift
     beta_full -= shift
 
-    log_plan = (alpha_full[:, None] + beta_full[None, :] - m.cost) / lam
-    plan = np.exp(log_plan) * rw[:, None] * sw[None, :]
+    # the plan on the support, exp((alpha + beta - c)/lam) r s, in the workspace
+    np.add(alpha_full[ix][:, None], beta_full[iy][None, :], out=work)
+    work -= c
+    work /= lam
+    np.exp(work, out=work)
+    work *= rr[:, None]
+    work *= ss[None, :]
+    if c is m.cost:
+        plan = work
+    else:
+        plan = np.zeros(m.cost.shape)
+        plan[np.ix_(ix, iy)] = work
     value = float(alpha_full @ rw + beta_full @ sw)
-    cost_part = float(np.sum(m.cost * plan))
+    cost_part = float(np.einsum("ij,ij->", c, work))
     return SinkhornSolution(
         alpha=alpha_full,
         beta=beta_full,
@@ -302,6 +343,10 @@ def exact_ot_small(r: DiscreteMeasure, s: DiscreteMeasure, m: CostModel) -> OTSo
     dual potentials are unique on the supports (the support graph of the
     optimal plan is connected).
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+    from scipy.sparse.csgraph import connected_components
+
     nx, ny = r.space.size, s.space.size
     if nx > MAX_EXACT_SIZE or ny > MAX_EXACT_SIZE:
         raise TooLarge(f"exact oracle limited to {MAX_EXACT_SIZE} atoms per side")

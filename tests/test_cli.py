@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import erot
 from erot.cli import main
 
 
@@ -128,6 +133,32 @@ class TestCheckConditions:
         assert code == 0
         assert json.loads(out.read_text())["verdict"] == "Fail"
 
+    def test_value_one_sample_s_lists_fixed_r_sums(self, tmp_path):
+        n = 30
+        w_r = np.arange(1, n + 1, dtype=float) ** -1.5
+        w_s = 0.5 ** np.arange(n)
+        paths = {}
+        for name, w, tail in (("r", w_r, {"kind": "polynomial", "a": 1.5}),
+                              ("s", w_s, {"kind": "geometric", "q": 0.5})):
+            p = tmp_path / f"{name}.json"
+            p.write_text(json.dumps({"labels": list(range(n)), "weights": list(w / w.sum()),
+                                     "tail": tail}))
+            paths[name] = str(p)
+        (tmp_path / "cost.json").write_text(json.dumps({"family": "bounded", "p": 1}))
+        paths["cost"] = str(tmp_path / "cost.json")
+        verdicts = {}
+        for mode in ("one_sample_s", "one_sample_r"):
+            out = tmp_path / f"{mode}.json"
+            assert main(["check-conditions", *_base(
+                paths, "--lambda", "1", "--theorem", "value", "--mode", mode,
+                "--out", str(out))]) == 0
+            payload = json.loads(out.read_text())
+            verdicts[mode] = payload["verdict"]
+            names = [c["description"] for c in payload["sums"]]
+            if mode == "one_sample_s":
+                assert names[:3] == ["sum Ct_X r", "sum C_X r", "sum et_X r"]
+        assert verdicts == {"one_sample_s": "Pass", "one_sample_r": "Fail"}
+
     def test_unknown_theorem_exit_2(self, instance, capsys):
         paths, tmp = instance
         code = main(["check-conditions", *_base(
@@ -244,3 +275,15 @@ class TestStochasticCommands:
         payload = json.loads(out.read_text())
         assert payload["gap_report"]["chain_holds"] is True
         assert isinstance(payload["unique_potentials"], bool)
+
+
+def test_import_leaves_stats_and_optimize_unloaded():
+    # process start-up: scipy.stats and scipy.optimize are imported inside
+    # the functions that use them, not when the CLI module loads
+    src = str(Path(erot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, erot.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

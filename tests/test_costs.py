@@ -198,6 +198,25 @@ class TestConditionChecks:
         assert report.verdict == "Fail"
         assert any(c.verdict == "diverges" for c in report.checked_sums)
 
+    def test_fixed_r_gates_under_one_sample_s(self):
+        # a heavy-tailed r only fails the theorems that sample it: with r
+        # fixed, sum r C_X converges where sum sqrt(r) C_X (a = 1.5) diverges
+        sp = erot.integer_grid(30)
+        poly = erot.polynomial_measure(sp, 1.5)
+        geo = erot.geometric_measure(sp, 0.5)
+        _, prof = erot.build_cost({"family": "bounded", "p": 1}, sp, sp, 1.0)
+        report = erot.check_value_conditions(poly, geo, prof, "one_sample_s")
+        assert report.verdict == "Pass"
+        assert [c.description for c in report.checked_sums] == [
+            "sum Ct_X r", "sum C_X r", "sum et_X r",
+            "sum Ct_Y sqrt(s)", "sum C_Y^2 s", "sum e_Y^2 s",
+        ]
+        for mode in ("one_sample_r", "two_sample"):
+            report = erot.check_value_conditions(poly, geo, prof, mode)
+            assert report.verdict == "Fail"
+            assert report.checked_sums[0].description == "sum C_X sqrt(r)"
+            assert report.checked_sums[0].verdict == "diverges"
+
     def test_finite_support_always_passes(self):
         sp = erot.integer_grid(6)
         r = erot.validate_measure(np.full(6, 1 / 6), sp)

@@ -4,9 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import erot
 from erot.errors import AsymmetricSetup, MarginalMismatch, NonConvergence
+from erot.sinkhorn import _log_update
 
 
 def _random_instance(rng, n_x, n_y, cost_scale=2.0):
@@ -161,6 +163,65 @@ class TestSolve:
             erot.solve(r, s, m, 0.05, erot.SolveConfig(tol=1e-14, max_iter=3))
         assert exc.value.iterations == 3
         assert exc.value.residual > 0
+
+
+def _oracle_update(log_w, pot, cost, lam, axis):
+    """The sweep by scipy's logsumexp: an oracle independent of the solver."""
+    along = (1, -1) if axis == 1 else (-1, 1)
+    return -lam * logsumexp((pot.reshape(along) - cost) / lam + log_w.reshape(along), axis=axis)
+
+
+def _max_rel(got, expected):
+    return float(np.max(np.abs(got - expected)) / np.max(np.abs(expected)))
+
+
+class TestFusedSweep:
+    @pytest.mark.parametrize("lam", [1e-3, 0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("shape", [(7, 7), (5, 9), (9, 5), (1, 6), (6, 1)])
+    def test_against_logsumexp_oracle(self, shape, lam):
+        rng = np.random.default_rng(sum(shape))
+        cost = rng.uniform(0, 2, shape)
+        for axis in (1, 0):
+            k = shape[axis]
+            pot = rng.uniform(-1, 1, k)
+            log_w = np.log(rng.dirichlet(np.ones(k)))
+            expected = _oracle_update(log_w, pot, cost, lam, axis)
+            got = _log_update(log_w, pot, cost, lam, axis, np.empty(shape))
+            assert got.shape == expected.shape
+            assert _max_rel(got, expected) <= 1e-12
+            # the cost table may serve as its own workspace
+            table = cost.copy()
+            assert np.array_equal(_log_update(log_w, pot, table, lam, axis, table), got)
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
+    def test_full_support_potentials_solve_both_fixed_point_equations(self, lam):
+        # at full support no potential is back-filled: alpha and beta are the
+        # iterates themselves, so both equations hold to the solver tolerance
+        rng = np.random.default_rng(41)
+        r, s, m = _random_instance(rng, 6, 8)
+        sol = erot.solve(r, s, m, lam, erot.SolveConfig(tol=1e-13))
+        log_r, log_s = np.log(r.weights), np.log(s.weights)
+        assert _max_rel(_oracle_update(log_s, sol.beta, m.cost, lam, 1), sol.alpha) <= 1e-12
+        assert _max_rel(_oracle_update(log_r, sol.alpha, m.cost, lam, 0), sol.beta) <= 1e-12
+
+    def test_backfilled_potentials_solve_the_fixed_point_equations(self):
+        # zero-mass atoms on both sides: their potentials come from the
+        # right-hand sides over the supports, like every other atom's
+        rng = np.random.default_rng(43)
+        spx, spy = erot.integer_grid(5), erot.integer_grid(7)
+        w_r, w_s = rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(7))
+        w_r[[1, 4]] = 0.0
+        w_s[2] = 0.0
+        r = erot.validate_measure(w_r / w_r.sum(), spx)
+        s = erot.validate_measure(w_s / w_s.sum(), spy)
+        m, _ = erot.build_cost(
+            {"family": "custom", "cost": rng.uniform(0, 2, (5, 7))}, spx, spy, 1.0)
+        sol = erot.solve(r, s, m, 0.5, erot.SolveConfig(tol=1e-13))
+        ix, iy = np.flatnonzero(w_r > 0), np.flatnonzero(w_s > 0)
+        alpha = _oracle_update(np.log(s.weights[iy]), sol.beta[iy], m.cost[:, iy], 0.5, 1)
+        beta = _oracle_update(np.log(r.weights[ix]), sol.alpha[ix], m.cost[ix], 0.5, 0)
+        assert _max_rel(sol.alpha, alpha) <= 1e-12
+        assert _max_rel(sol.beta, beta) <= 1e-12
 
 
 class TestMutualInformation:

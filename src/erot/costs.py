@@ -148,9 +148,6 @@ class WeightProfile:
     def k_X(self, delta: float) -> WeightFunction:
         return WeightFunction(self.C_X.space, self.C_X.values * self.e_X.values**delta)
 
-    def k_Y(self, delta: float) -> WeightFunction:
-        return WeightFunction(self.C_Y.space, self.C_Y.values * self.e_Y.values**delta)
-
 
 def _profile_from(model: CostModel, lam: float) -> WeightProfile:
     def weights(space, lo, hi):

@@ -7,14 +7,23 @@ Solves the dual fixed-point system by alternating log-domain updates
 restricted to the supports of the marginals, then extends potentials to
 zero-mass atoms via the same right-hand sides.
 
-Each sweep is fused and runs in place.  It writes (pot - c)/lam + log w into
-one kx x ky workspace, then subtracts the row (or, for beta, the column)
-maximum, exponentiates, sums and takes the log there.  The workspace is
-allocated once per `solve` call and never shared between calls, so threaded
-callers stay bit-reproducible; the beta sweep reduces along the columns of
-the same table instead of a transposed copy, and the final plan is built in
-the workspace too.  At full support the cost table is used without a copy
-and no potential needs back-filling.
+The log-domain sweep is fused and runs in place: it writes
+(pot - c)/lam + log w into one kx x ky workspace, then subtracts the row (or,
+for beta, the column) maximum, exponentiates, sums and takes the log there.
+The workspace is allocated once per `solve` call and never shared between
+calls, so threaded callers stay bit-reproducible.
+
+Only the first beta and alpha updates are sweeps.  The alpha sweep leaves
+the max-shifted exponentials in the workspace; divided by their row sums
+they are the kernel K = exp((alpha + beta - c)/lam) s with the potentials
+absorbed.  The iterates are then alpha + lam log u and beta + lam log v, and
+each iteration is two matrix-vector products, u = 1/(K v) and
+v' = s/((r u)^T K) (scaling form of Schmitzer, arXiv:1610.06519).  When a
+scaling vector leaves [1/SCALING_BOUND, SCALING_BOUND], that half-step is
+taken as a sweep instead, which absorbs the scalings into the potentials and
+rebuilds K.  The iterates are mathematically those of the log-domain
+updates, whatever the bound.  The final plan u K v r is built in the
+workspace, and at full support the cost table is used without a copy.
 
 Also provides the Sinkhorn divergence, quantitative potential/plan bounds,
 an exact unregularized transport oracle for small instances, and the
@@ -39,6 +48,9 @@ from .measures import DiscreteMeasure, entropy_pair
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
+# a Sinkhorn scaling vector with an entry outside [1/SCALING_BOUND,
+# SCALING_BOUND] is absorbed into its potential and the kernel rebuilt
+SCALING_BOUND = 1e50
 
 
 class Normalization(Enum):
@@ -102,6 +114,33 @@ def _log_update(log_w: np.ndarray, pot: np.ndarray, cost: np.ndarray, lam: float
     return -lam * (np.log(work.sum(axis=axis)) + top.reshape(-1))
 
 
+def _in_scaling_range(x: np.ndarray) -> bool:
+    """Whether every entry lies in [1/SCALING_BOUND, SCALING_BOUND]; false
+    for non-finite entries."""
+    return bool(np.all((x >= 1.0 / SCALING_BOUND) & (x <= SCALING_BOUND)))
+
+
+def _drop_subnormals(kernel: np.ndarray) -> None:
+    """Zero the kernel's subnormal entries in place.
+
+    At small lam many entries underflow into the subnormal range, where
+    BLAS arithmetic is several times slower; each is below 2.3e-308 in a
+    kernel whose rows sum to about 1, so the iterates do not notice.
+    """
+    np.copyto(kernel, 0.0, where=kernel < np.finfo(float).tiny)
+
+
+def _alpha_kernel(log_s: np.ndarray, beta: np.ndarray, cost: np.ndarray, lam: float,
+                  work: np.ndarray):
+    """Alpha sweep at `beta` that leaves the kernel exp((alpha + beta - c)/lam) s
+    in `work`: the sweep's shifted exponentials divided by their row sums, so
+    the rows sum to 1.  Returns alpha and the unit scaling vectors u, v."""
+    alpha = _log_update(log_s, beta, cost, lam, 1, work)
+    work /= work.sum(axis=1, keepdims=True)
+    _drop_subnormals(work)
+    return alpha, np.ones(cost.shape[0]), np.ones(cost.shape[1])
+
+
 def solve(
     r: DiscreteMeasure,
     s: DiscreteMeasure,
@@ -126,8 +165,8 @@ def solve(
     c = m.cost if off_x.size + off_y.size == 0 else m.cost[np.ix_(ix, iy)]
     rr, ss = rw[ix], sw[iy]
     log_r, log_s = np.log(rr), np.log(ss)
-    # the one kx x ky workspace of this call: every sweep runs in it, and at
-    # full support it becomes the returned plan
+    # the one kx x ky workspace of this call: every sweep and the kernel live
+    # in it, and at full support it becomes the returned plan
     work = np.empty(c.shape)
 
     if warm_start is not None:
@@ -135,23 +174,46 @@ def solve(
     else:
         alpha = np.zeros(ix.size)
     beta = _log_update(log_r, alpha, c, lam, 0, work)
+    # the iterates are alpha + lam*log(u) and beta + lam*log(v) over the
+    # kernel K = exp((alpha + beta - c)/lam) s held in `work`
+    alpha, u, v = _alpha_kernel(log_s, beta, c, lam, work)
     residual = np.inf
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        # after the alpha update the plan's row marginals equal r exactly
-        alpha = _log_update(log_s, beta, c, lam, 1, work)
-        beta_new = _log_update(log_r, alpha, c, lam, 0, work)
-        # column-marginal l1 residual of the current plan, no matrix needed
-        residual = float(ss @ np.abs(np.exp((beta - beta_new) / lam) - 1.0))
+        v_new = ss / ((rr * u) @ work)
+        if _in_scaling_range(v_new):
+            # column-marginal l1 residual, sum_y s_y |exp((beta_y - beta'_y)/lam) - 1|
+            residual = float(ss @ np.abs(v / v_new - 1.0))
+        else:
+            # absorb u into alpha and take this beta step in the log domain;
+            # the sweep leaves exp((alpha - c)/lam) r, column-shifted, in the
+            # workspace, and scaling its columns gives the kernel at the new beta
+            alpha = alpha + lam * np.log(u)
+            beta_prev = beta + lam * np.log(v)
+            beta = _log_update(log_r, alpha, c, lam, 0, work)
+            work *= ss / work.sum(axis=0)
+            work /= rr[:, None]
+            _drop_subnormals(work)
+            u, v_new = np.ones(rr.size), np.ones(ss.size)
+            v = np.exp((beta_prev - beta) / lam)
+            residual = float(ss @ np.abs(v - 1.0))
         if residual <= cfg.tol:
             break
-        beta = beta_new
+        # the next alpha step; after it the plan's row marginals equal r exactly
+        v = v_new
+        u = 1.0 / (work @ v)
+        if not _in_scaling_range(u):
+            # absorb v into beta and take this alpha step in the log domain
+            beta = beta + lam * np.log(v)
+            alpha, u, v = _alpha_kernel(log_s, beta, c, lam, work)
     else:
         raise NonConvergence(
             f"no convergence after {cfg.max_iter} iterations (residual {residual:.3e})",
             iterations=cfg.max_iter,
             residual=residual,
         )
+    alpha = alpha + lam * np.log(u)
+    beta = beta + lam * np.log(v)
 
     # extend to zero-mass atoms via the fixed-point right-hand sides (each
     # fancy-indexed cost copy is its own workspace)
@@ -173,13 +235,10 @@ def solve(
     alpha_full += shift
     beta_full -= shift
 
-    # the plan on the support, exp((alpha + beta - c)/lam) r s, in the workspace
-    np.add(alpha_full[ix][:, None], beta_full[iy][None, :], out=work)
-    work -= c
-    work /= lam
-    np.exp(work, out=work)
-    work *= rr[:, None]
-    work *= ss[None, :]
+    # the plan on the support, exp((alpha + beta - c)/lam) r s = u K v r, in
+    # the workspace
+    work *= (u * rr)[:, None]
+    work *= v
     if c is m.cost:
         plan = work
     else:
@@ -432,7 +491,8 @@ def vanishing_reg_gap(
     erots, costs = [], []
     warm = None
     holds = True
-    for lam in sorted(lambdas, reverse=True):
+    lam_sorted = sorted(lambdas, reverse=True)
+    for lam in lam_sorted:
         sol = solve(r, s, m, lam, cfg, warm_start=warm)
         warm = (sol.alpha, sol.beta)
         erots.append(sol.value)
@@ -441,7 +501,6 @@ def vanishing_reg_gap(
             ot.value - slack <= sol.cost_part <= sol.value + slack
             and sol.value - ot.value <= lam * H + slack
         )
-    lam_sorted = sorted(lambdas, reverse=True)
     return GapReport(
         ot_value=ot.value,
         entropy_bound=H,

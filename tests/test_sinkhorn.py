@@ -64,15 +64,13 @@ class TestSolve:
         u = erot.validate_measure([0.5, 0.5], sp)
         m, _ = erot.build_cost({"family": "bounded", "kind": "discrete_metric"}, sp, sp, lam)
 
-        def objective(t):
-            pi = np.array([[t, 0.5 - t], [0.5 - t, t]])
-            cost = pi[0, 1] + pi[1, 0]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ent = np.nansum(pi * np.log(pi / 0.25))
-            return cost + lam * ent
-
         ts = np.linspace(1e-9, 0.5 - 1e-9, 400_001)
-        vals = np.array([objective(t) for t in ts])
+        # one row per grid point: the plan's entries pi00, pi01, pi10, pi11
+        pi = np.stack([ts, 0.5 - ts, 0.5 - ts, ts], axis=1)
+        cost = pi[:, 1] + pi[:, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ent = np.nansum(pi * np.log(pi / 0.25), axis=1)
+        vals = cost + lam * ent
         best = ts[np.argmin(vals)]
 
         sol = erot.solve(u, u, m, lam)
@@ -222,6 +220,86 @@ class TestFusedSweep:
         beta = _oracle_update(np.log(r.weights[ix]), sol.alpha[ix], m.cost[ix], 0.5, 0)
         assert _max_rel(sol.alpha, alpha) <= 1e-12
         assert _max_rel(sol.beta, beta) <= 1e-12
+
+
+
+def _oracle_solve(r, s, m, lam, cfg=erot.SolveConfig(), warm_start=None):
+    """Plain alternating log-domain Sinkhorn with scipy's logsumexp, the
+    stopping rule, back-fill and balanced normalization of `solve`: an oracle
+    that shares no code with the solver.  Returns (alpha, beta, plan,
+    iterations)."""
+    rw, sw = r.weights, s.weights
+    ix, iy = np.flatnonzero(rw > 0), np.flatnonzero(sw > 0)
+    c = m.cost[np.ix_(ix, iy)]
+    log_r, log_s = np.log(rw[ix]), np.log(sw[iy])
+    alpha = np.zeros(ix.size) if warm_start is None else np.asarray(warm_start[0])[ix]
+    beta = _oracle_update(log_r, alpha, c, lam, 0)
+    for it in range(1, cfg.max_iter + 1):
+        alpha = _oracle_update(log_s, beta, c, lam, 1)
+        beta_new = _oracle_update(log_r, alpha, c, lam, 0)
+        if sw[iy] @ np.abs(np.exp((beta - beta_new) / lam) - 1.0) <= cfg.tol:
+            break
+        beta = beta_new
+    else:
+        raise NonConvergence("oracle did not converge", iterations=cfg.max_iter)
+    alpha_full = _oracle_update(log_s, beta, m.cost[:, iy], lam, 1)
+    beta_full = _oracle_update(log_r, alpha, m.cost[ix], lam, 0)
+    alpha_full[ix], beta_full[iy] = alpha, beta
+    shift = 0.5 * (beta_full @ sw - alpha_full @ rw)
+    alpha_full += shift
+    beta_full -= shift
+    plan = np.exp((alpha_full[:, None] + beta_full[None, :] - m.cost) / lam) * np.outer(rw, sw)
+    return alpha_full, beta_full, plan, it
+
+
+def _assert_matches_oracle(sol, oracle):
+    alpha, beta, plan, iterations = oracle
+    assert sol.iterations == iterations
+    assert _max_rel(sol.alpha, alpha) <= 1e-12
+    assert _max_rel(sol.beta, beta) <= 1e-12
+    assert _max_rel(sol.plan, plan) <= 1e-12
+
+
+class TestScalingLoop:
+    @pytest.mark.parametrize("lam", [1e-3, 0.1, 1.0, 10.0])
+    def test_against_log_domain_oracle(self, lam):
+        # random instances with zero-mass atoms on either side, cold and warm
+        rng = np.random.default_rng(int(lam * 1000) + 7)
+        for k in range(8):
+            nx, ny = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+            spx, spy = erot.integer_grid(nx), erot.integer_grid(ny)
+            w_r, w_s = rng.dirichlet(np.ones(nx)), rng.dirichlet(np.ones(ny))
+            if nx > 2:
+                w_r[rng.integers(0, nx)] = 0.0
+            if ny > 2 and k % 2:
+                w_s[rng.integers(0, ny)] = 0.0
+            r = erot.validate_measure(w_r / w_r.sum(), spx)
+            s = erot.validate_measure(w_s / w_s.sum(), spy)
+            m, _ = erot.build_cost(
+                {"family": "custom", "cost": rng.uniform(0, 2, (nx, ny))}, spx, spy, 1.0)
+            warm = (rng.uniform(-1, 1, nx), rng.uniform(-1, 1, ny)) if k % 3 == 0 else None
+            sol = erot.solve(r, s, m, lam, warm_start=warm)
+            _assert_matches_oracle(sol, _oracle_solve(r, s, m, lam, warm_start=warm))
+
+    def test_forced_absorption_matches_oracle(self, monkeypatch):
+        # at bound 1e2 the scalings of the 120-atom geometric instance leave
+        # the range early on both sides, so both absorbing half-steps run
+        sp = erot.integer_grid(120)
+        r = erot.geometric_measure(sp, 0.7)
+        m, _ = erot.build_cost({"family": "bounded", "p": 1}, sp, sp, 1.0)
+        sweeps = {0: 0, 1: 0}
+        sweep = erot.sinkhorn._log_update
+
+        def counted(log_w, pot, cost, lam, axis, work):
+            sweeps[axis] += 1
+            return sweep(log_w, pot, cost, lam, axis, work)
+
+        monkeypatch.setattr(erot.sinkhorn, "SCALING_BOUND", 1e2)
+        monkeypatch.setattr(erot.sinkhorn, "_log_update", counted)
+        sol = erot.solve(r, r, m, 1.0)
+        # beyond the first beta and alpha sweeps, one per absorption
+        assert sweeps[0] > 1 and sweeps[1] > 1
+        _assert_matches_oracle(sol, _oracle_solve(r, r, m, 1.0))
 
 
 class TestMutualInformation:

@@ -228,6 +228,7 @@ def _cmd_plan_cov(args):
         "n_functions": len(fns),
         "covariance": cov,
         "contraction_norm": ops.contraction_norm,
+        "schur_min_eig": ops.schur_min_eig,
     }
     return _finish(args, "plan-cov", out, payload)
 
@@ -270,6 +271,7 @@ def _cmd_derivative_check(args):
         "plan_slope": slope(plan_errors),
         "value_slope": slope(value_errors),
         "contraction_norm": ops.contraction_norm,
+        "schur_min_eig": ops.schur_min_eig,
     }
     out = _resolve(args, "out", default="derivative_check.json")
     return _finish(args, "derivative-check", out, payload, seed=seed)

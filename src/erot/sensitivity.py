@@ -22,19 +22,34 @@ column sums equal hY).  Note the BX sum runs over all of Y including y1;
 restricting it to Y without y1 would break the row-sum identity whenever the
 direction hY moves mass at y1.
 
-Bounded X-variation of the cost makes AX AY a strict contraction, so I - AX AY
-is invertible.  `build_operators` LU-factors it once; every solve of the block
-system reuses that factor for a and back-substitutes the second block row for
-b.  A truncated Neumann sum is retained as an independent cross-check.
+Neither the four operators nor I - AX AY are stored: a product with an
+operator is a product with the plan between diagonal scalings, such as
+AX v = (pi_{., Y*} v) / r.  With K = D_r^{-1/2} pi_{., Y*} D_{s*}^{-1/2},
+
+    I - AX AY = D_r^{-1/2} S D_r^{1/2},   S = I - K K^T,
+
+and S is symmetric, positive definite exactly when AX AY has spectral radius
+below one.  `build_operators` forms S with one BLAS syrk and Cholesky-factors
+it in place; each solve is a = D_r^{-1/2} S^{-1} D_r^{1/2} (u - AX v) on that
+factor, then b by back-substitution.  The operators are refused
+(`ContractionViolated`) only when Cholesky fails or S's smallest eigenvalue,
+estimated as rcond(S) ||S||_1 from LAPACK's dpocon, is below `SCHUR_MIN_EIG`.
+The paper's contraction norm ||AX AY||_inf, the largest entry of AX (AY 1)
+since AX AY >= 0, is only reported: on long tails it reaches 1 from the
+lightest rows while S stays well conditioned.  A truncated Neumann sum is
+retained as an independent cross-check.
 
 The functional covariances need the rows <f, Dpi(e_x, 0)> and
 <f, Dpi(0, e_y)> for every coordinate direction.  They are obtained from one
-adjoint (transposed) solve per test table f rather than one solve per
-direction: with gx = (f . pi) 1 and gy the column sums of f . pi off y1,
+adjoint solve per test table f rather than one solve per direction: with
+gx = (f . pi) 1 and gy the column sums of f . pi off y1,
 
     P  = (gx - gy AY) (I - AX AY)^{-1},
     JX = gx / r - (gy - P AX) BY,
-    JY = (f . pi)^T 1 / s - P BX.
+    JY = (f . pi)^T 1 / s - P BX,
+
+where P^T = D_r^{1/2} S^{-1} D_r^{-1/2} (gx - gy AY)^T uses the same
+factor, S being symmetric.
 """
 
 from __future__ import annotations
@@ -43,7 +58,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpocon
 
 from .costs import CostModel
 from .errors import (
@@ -58,6 +75,9 @@ from .measures import ONE_SAMPLE_R, ONE_SAMPLE_S, TWO_SAMPLE, Design, DiscreteMe
 from .sinkhorn import Normalization, SinkhornSolution, SolveConfig, _require_symmetric, solve
 
 TANGENT_TOL = 1e-10
+# smallest eigenvalue estimate of S = I - K K^T below which the block system
+# counts as singular
+SCHUR_MIN_EIG = 1e-12
 
 
 @dataclass(frozen=True)
@@ -73,15 +93,34 @@ def multinomial_covariance(r: DiscreteMeasure) -> MultinomialCovariance:
 
 @dataclass(frozen=True)
 class DerivativeOperators:
+    """The plan derivative's data at one solution: the anchored solution,
+    the marginals, the Cholesky factor of S = I - K K^T and diagnostics.
+    The solves work on the plan itself; AX, AY, BX and BY (module
+    docstring) are formed only when read."""
+
     base: SinkhornSolution  # anchored normalization, beta[y1] = 0
     r: DiscreteMeasure
     s: DiscreteMeasure
-    AX: np.ndarray  # (nx, ny-1)
-    AY: np.ndarray  # (ny-1, nx)
-    BX: np.ndarray  # (nx, ny), full tensor-quotient pi/(r x s)
-    BY: np.ndarray  # (ny-1, nx)
-    contraction_norm: float
-    lu: tuple  # scipy.linalg.lu_factor of I - AX AY
+    contraction_norm: float  # ||AX AY||_inf
+    schur_min_eig: float  # rcond(S) ||S||_1, an estimate of S's smallest eigenvalue
+    max_rel_marginal_error: float  # worst |plan marginal - weight| / weight
+    cho: tuple  # scipy.linalg.cho_factor of S, lower triangle
+
+    @property
+    def AX(self) -> np.ndarray:  # (nx, ny-1)
+        return self.base.plan[:, 1:] / self.r.weights[:, None]
+
+    @property
+    def AY(self) -> np.ndarray:  # (ny-1, nx)
+        return (self.base.plan[:, 1:] / self.s.weights[1:]).T
+
+    @property
+    def BX(self) -> np.ndarray:  # (nx, ny), full tensor-quotient pi/(r x s)
+        return self.base.plan / np.outer(self.r.weights, self.s.weights)
+
+    @property
+    def BY(self) -> np.ndarray:  # (ny-1, nx)
+        return self.BX[:, 1:].T
 
 
 def build_operators(
@@ -90,11 +129,12 @@ def build_operators(
     s: DiscreteMeasure,
     m: CostModel | None = None,
 ) -> DerivativeOperators:
-    """Assemble the derivative operators at a converged solution.
+    """Factor the plan derivative's block system at a converged solution.
 
     Requires full support of both marginals and bounded X-variation of the
-    cost (which guarantees the contraction property of AX AY).  Full support
-    puts y1 at index 0, so Y* is every column but the first.
+    cost.  Full support puts y1 at index 0, so Y* is every column but the
+    first.  Raises ContractionViolated when S = I - K K^T (module docstring)
+    is not numerically positive definite.
     """
     if np.any(r.weights <= 0) or np.any(s.weights <= 0):
         raise ZeroMassAtom("plan derivative requires full support of both marginals")
@@ -103,28 +143,42 @@ def build_operators(
             "plan derivative requires sup_x (cX+ - cX-)(x) < infinity"
         )
     base = sol.renormalized(Normalization.ANCHORED_AT_Y1, r, s)
-    # column-major copy of the plan off y1: the layout fixes the summation
-    # order of the BLAS products on AX and AY below
-    pi_k = np.asfortranarray(base.plan[:, 1:])
-    AX = pi_k / r.weights[:, None]
-    AY = (pi_k / s.weights[None, 1:]).T
-    B = base.plan / (r.weights[:, None] * s.weights[None, :])
-    MX = AX @ AY
-    norm = float(np.max(np.abs(MX).sum(axis=1)))
-    if norm >= 1.0 - 1e-9:
+    pi, w_r, w_s = base.plan, r.weights, s.weights
+    rows, cols = pi.sum(axis=1), pi.sum(axis=0)
+    marginal_error = float(max(np.max(np.abs(rows - w_r) / w_r),
+                               np.max(np.abs(cols - w_s) / w_s)))
+    # AX AY >= 0 entrywise, so its infinity norm is the largest entry of AX (AY 1)
+    norm = float(np.max(pi[:, 1:] @ (cols[1:] / w_s[1:]) / w_r))
+    # K in the column-major layout syrk reads fastest
+    K = np.empty((pi.shape[0], pi.shape[1] - 1), order="F")
+    np.divide(pi[:, 1:], np.sqrt(w_r)[:, None], out=K)
+    K /= np.sqrt(w_s[1:])
+    S = dsyrk(-1.0, K, beta=1.0, c=np.eye(K.shape[0], order="F"), lower=1, overwrite_c=1)
+    try:
+        cho = cho_factor(S, lower=True, overwrite_a=True)
+    except np.linalg.LinAlgError:
         raise ContractionViolated(
-            f"operator norm of AX AY is {norm:.12f}, too close to 1 for inversion"
+            "I - K K^T is not positive definite (Cholesky failed); worst "
+            f"relative marginal error {marginal_error:.1e}, AX AY norm {norm:.12f}"
+        ) from None
+    # dpocon returns 1 / (anorm * est ||S^{-1}||_1): with anorm = 1 that is
+    # rcond(S) ||S||_1, and ||S||_1 need not be formed
+    min_eig = float(dpocon(cho[0], 1.0, uplo="L")[0])
+    if min_eig < SCHUR_MIN_EIG:
+        raise ContractionViolated(
+            f"I - K K^T is numerically singular: smallest eigenvalue about "
+            f"{min_eig:.1e}; worst relative marginal error {marginal_error:.1e}"
         )
     if norm > 0.999:
+        gap = f"1 - {1.0 - norm:.1e}" if norm <= 1.0 else f"1 + {norm - 1.0:.1e}"
         warnings.warn(
-            f"AX AY contraction norm is 1 - {1.0 - norm:.1e}, close to 1; "
-            "derivative may be ill-conditioned",
+            f"AX AY contraction norm is {gap}, close to 1; derivative may be "
+            f"ill-conditioned (smallest eigenvalue of I - K K^T about {min_eig:.1e})",
             RuntimeWarning,
         )
-    # BY is a view of BX, so the operators hold one n x n table less
     return DerivativeOperators(
-        base=base, r=r, s=s, AX=AX, AY=AY, BX=B, BY=B[:, 1:].T,
-        contraction_norm=norm, lu=lu_factor(np.eye(MX.shape[0]) - MX),
+        base=base, r=r, s=s, contraction_norm=norm, schur_min_eig=min_eig,
+        max_rel_marginal_error=marginal_error, cho=cho,
     )
 
 
@@ -152,17 +206,26 @@ def _neumann_solve(M: np.ndarray, rhs: np.ndarray, norm: float, tol: float = 1e-
     )
 
 
-def _potential_corrections(ops: DerivativeOperators, HX: np.ndarray, HY: np.ndarray,
+def _potential_corrections(ops: DerivativeOperators, hX: np.ndarray, hY: np.ndarray,
                            method: str = "direct"):
-    """Solve the block system for (a, b); HX, HY may carry batch columns."""
-    U = ops.BX @ HY
-    V = ops.BY @ HX
+    """Solve the block system for (a, b) along the direction (hX, hY)."""
+    pi, w_r, w_s = ops.base.plan, ops.r.weights, ops.s.weights
+    v = (hX / w_r) @ pi[:, 1:] / w_s[1:]  # BY hX
     if method == "direct":
-        a = lu_solve(ops.lu, U - ops.AX @ V)
-        b = V - ops.AY @ a
+        # u - AX v = pi (hY/s - (0, v)) / r, with u = BX hY
+        w = hY / w_s
+        w[1:] -= v
+        sqrt_r = np.sqrt(w_r)
+        a = cho_solve(ops.cho, (pi @ w) / sqrt_r) / sqrt_r
+        b = v - a @ pi[:, 1:] / w_s[1:]  # v - AY a
     elif method == "neumann":
-        a = _neumann_solve(ops.AX @ ops.AY, U - ops.AX @ V, ops.contraction_norm)
-        b = _neumann_solve(ops.AY @ ops.AX, V - ops.AY @ U, ops.contraction_norm)
+        AX, AY = ops.AX, ops.AY
+        u = ops.BX @ hY
+        # AX AY and AY AX have spectral radius 1 - (smallest eigenvalue of S),
+        # below 1 even where ||AX AY||_inf is not
+        rate = 1.0 - ops.schur_min_eig
+        a = _neumann_solve(AX @ AY, u - AX @ v, rate)
+        b = _neumann_solve(AY @ AX, v - AY @ u, rate)
     else:
         raise ValueError(f"unknown method {method!r}")
     return a, b
@@ -234,15 +297,28 @@ def _functional_jacobians(ops: DerivativeOperators, fns):
     matches the tangent-space computation.  All rows of a table come from
     one adjoint solve with the stored factor (see the module docstring).
     """
-    pi = ops.base.plan
-    F = np.array([np.asarray(f, dtype=float) * pi for f in fns]).reshape((-1,) + pi.shape)
-    gx = F.sum(axis=2)
-    gy_full = F.sum(axis=1)
-    gy = gy_full[:, 1:]
-    P = lu_solve(ops.lu, (gx - gy @ ops.AY).T, trans=1).T
-    JX = gx / ops.r.weights - (gy - P @ ops.AX) @ ops.BY
-    JY = gy_full / ops.s.weights - P @ ops.BX
+    pi, w_r, w_s = ops.base.plan, ops.r.weights, ops.s.weights
+    work = np.empty_like(pi)
+    gx = np.empty((len(fns), pi.shape[0]))
+    gy = np.empty((len(fns), pi.shape[1]))
+    for k, f in enumerate(fns):
+        np.multiply(f, pi, out=work)
+        work.sum(axis=1, out=gx[k])
+        work.sum(axis=0, out=gy[k])
+    sqrt_r = np.sqrt(w_r)
+    # P^T = D_r^{1/2} S^{-1} D_r^{-1/2} (gx - gy AY)^T
+    rhs = gx - (gy[:, 1:] / w_s[1:]) @ pi[:, 1:].T
+    P = cho_solve(ops.cho, (rhs / sqrt_r).T).T * sqrt_r
+    PB = (P / w_r) @ pi  # P AX = PB off y1, P BX = PB / s
+    JX = (gx - ((gy[:, 1:] - PB[:, 1:]) / w_s[1:]) @ pi[:, 1:].T) / w_r
+    JY = (gy - PB) / w_s
     return JX, JY
+
+
+def _multinomial_form(J: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """J (diag(w) - w w^T) J^T, without forming the covariance matrix."""
+    Jw = J @ w
+    return (J * w) @ J.T - np.outer(Jw, Jw)
 
 
 def functional_covariance(ops: DerivativeOperators, r: DiscreteMeasure,
@@ -254,8 +330,8 @@ def functional_covariance(ops: DerivativeOperators, r: DiscreteMeasure,
     design = Design.of(mode, delta)
     JX, JY = _functional_jacobians(ops, fns)
     cov = design.combine(
-        lambda: JX @ multinomial_covariance(r).matrix @ JX.T,
-        lambda: JY @ multinomial_covariance(s).matrix @ JY.T,
+        lambda: _multinomial_form(JX, r.weights),
+        lambda: _multinomial_form(JY, s.weights),
     )
     return 0.5 * (cov + cov.T)
 

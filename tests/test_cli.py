@@ -213,6 +213,16 @@ def test_derivative_check_slopes(instance):
     assert payload["value_slope"] >= 0.9
 
 
+def test_schur_min_eig_reported(instance):
+    paths, tmp = instance
+    fns = tmp / "fns.json"
+    fns.write_text(json.dumps([np.eye(3).tolist()]))
+    for sub, extra in (("plan-cov", ["--functions", str(fns)]), ("derivative-check", [])):
+        out = tmp / f"{sub}.json"
+        assert main([sub, *_base(paths, "--lambda", "1", *extra, "--out", str(out))]) == 0
+        assert 0 < json.loads(out.read_text())["schur_min_eig"] <= 1
+
+
 class TestStochasticCommands:
     def test_bootstrap_deterministic(self, instance):
         paths, tmp = instance

@@ -1,5 +1,9 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpocon
 
 import erot
 from erot.errors import (
@@ -11,7 +15,9 @@ from erot.errors import (
     ZeroMassAtom,
 )
 from erot.sensitivity import (
+    _functional_jacobians,
     _neumann_solve,
+    _potential_corrections,
     ONE_SAMPLE_R,
     ONE_SAMPLE_S,
     TWO_SAMPLE,
@@ -360,3 +366,168 @@ class TestNeumannAndConditioning:
         with pytest.warns(RuntimeWarning, match=r"contraction norm is 1 - 4\.5e-08"):
             ops = build_operators(sol, g, g, m)
         assert 1.0 - ops.contraction_norm == pytest.approx(4.5e-8, rel=0.05)
+
+
+def _tail(family, n):
+    """Shipped tail on n atoms with cost |x - y| at lambda = 1."""
+    sp = erot.integer_grid(n)
+    w = erot.geometric_measure(sp, 0.7) if family == "geometric" else erot.polynomial_measure(sp, 3.0)
+    m, _ = erot.build_cost({"family": "bounded", "p": 1}, sp, sp, 1.0)
+    return w, m
+
+
+def _dirichlet_instance(n, seed):
+    rng = np.random.default_rng(seed)
+    sp = erot.integer_grid(n)
+    a = rng.uniform(0, 2, (n, n))
+    r = erot.validate_measure(rng.dirichlet(2 * np.ones(n)), sp)
+    s = erot.validate_measure(rng.dirichlet(2 * np.ones(n)), sp)
+    m, _ = erot.build_cost({"family": "bounded", "cost": 0.5 * (a + a.T)}, sp, sp, 1.0)
+    return r, s, m
+
+
+def _relative_tangent(measure, rng):
+    """w.z - <w, z> w: moves each atom's mass by a relative amount, so
+    w + t h stays positive on the lightest atoms of a tail."""
+    w = measure.weights
+    z = rng.standard_normal(w.size)
+    return erot.SignedVector(measure.space, w * z - (w @ z) * w)
+
+
+def _operators_quietly(sol, r, s, m):
+    """build_operators without the near-1 contraction-norm warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return build_operators(sol, r, s, m)
+
+
+class TestTails:
+    @pytest.mark.parametrize("family", ["geometric", "polynomial"])
+    @pytest.mark.parametrize("n", [30, 60, 120])
+    def test_operators_and_marginal_identities(self, family, n):
+        # ||AX AY||_inf passes 1 on these tails, yet S stays well conditioned
+        w, m = _tail(family, n)
+        sol = erot.solve(w, w, m, 1.0)
+        with pytest.warns(RuntimeWarning, match=r"contraction norm is 1 \+ \d"):
+            ops = build_operators(sol, w, w, m)
+        assert ops.contraction_norm > 1.0
+        assert ops.schur_min_eig > 1e-3
+        cov = functional_covariance(ops, w, w, [m.cost, np.ones((n, n))])
+        assert cov[0, 0] > 0 and np.all(np.isfinite(cov))
+        rng = np.random.default_rng(n)
+        hX, hY = _tangent(w.space, rng.normal(size=n)), _tangent(w.space, rng.normal(size=n))
+        d = plan_derivative(ops, hX, hY)
+        assert np.max(np.abs(d.sum(axis=1) - hX.entries)) <= 1e-12
+        # Column y of the derivative is off by (c_y/s_y - 1)(hY_y - s_y b_y),
+        # c the plan's column sums: at the default tolerance the lightest
+        # columns are fitted only to 2.6e-3 relative (geometric, n = 120).  A
+        # solve to 1e-15 and directions that move mass in proportion to the
+        # weights take that below 1e-12.
+        tight = erot.solve(w, w, m, 1.0, erot.SolveConfig(tol=1e-15))
+        ops = _operators_quietly(tight, w, w, m)
+        hX, hY = _relative_tangent(w, rng), _relative_tangent(w, rng)
+        d = plan_derivative(ops, hX, hY)
+        assert np.max(np.abs(d.sum(axis=1) - hX.entries)) <= 1e-12
+        assert np.max(np.abs(d.sum(axis=0) - hY.entries)) <= 1e-12
+
+
+    @pytest.mark.parametrize("family, n", [("geometric", 120), ("polynomial", 60)])
+    def test_neumann_cross_check(self, family, n):
+        # the Neumann sum stops on the spectral gap schur_min_eig, since
+        # 1 - ||AX AY||_inf is negative here
+        w, m = _tail(family, n)
+        ops = _operators_quietly(erot.solve(w, w, m, 1.0), w, w, m)
+        rng = np.random.default_rng(n)
+        hX, hY = _tangent(w.space, rng.normal(size=n)), _tangent(w.space, rng.normal(size=n))
+        d = plan_derivative(ops, hX, hY)
+        e = plan_derivative(ops, hX, hY, method="neumann")
+        assert np.max(np.abs(e - d)) <= 1e-12 * np.max(np.abs(d))
+
+
+class TestSchurGate:
+    @pytest.mark.parametrize("radius", [1.0, 1.25])
+    def test_spectral_radius_at_least_one_raises(self, radius):
+        # hand-built plan with no mass on y1: AX is row-stochastic, and
+        # s* = (column sums of pi)/radius makes AX AY 1 = radius 1.  Radius 1
+        # leaves S singular; radius 1.25 makes it indefinite, so Cholesky fails
+        sp2, sp3 = erot.integer_grid(2), erot.integer_grid(3)
+        r = erot.validate_measure([0.5, 0.5], sp2)
+        s = erot.validate_measure([0.2, 0.4, 0.4], sp3)
+        m, _ = erot.build_cost({"family": "custom", "cost": np.zeros((2, 3))}, sp2, sp3, 1.0)
+        plan = np.array([[0.0, 0.3, 0.2], [0.0, 0.1, 0.4]])
+        sol = replace(erot.solve(r, s, m, 1.0), plan=plan)
+        s_hand = erot.DiscreteMeasure(sp3, np.array([0.2, 0.4 / radius, 0.6 / radius]))
+        AX = plan[:, 1:] / r.weights[:, None]
+        AY = (plan[:, 1:] / s_hand.weights[1:]).T
+        assert np.max(np.abs(np.linalg.eigvals(AX @ AY))) == pytest.approx(radius)
+        with pytest.raises(ContractionViolated, match="marginal error 1.0e\\+00"):
+            build_operators(sol, r, s_hand, m)
+
+    def test_min_eig_estimate_on_reference_instance(self):
+        w, m = _tail("geometric", 21)
+        sol = erot.solve(w, w, m, 1.0)
+        with pytest.warns(RuntimeWarning):
+            ops = build_operators(sol, w, w, m)
+        K = sol.plan[:, 1:] / np.sqrt(np.outer(w.weights, w.weights[1:]))
+        S = np.eye(21) - K @ K.T
+        L = np.linalg.cholesky(S)
+        norm1 = np.abs(S).sum(axis=0).max()
+        assert ops.schur_min_eig == pytest.approx(dpocon(L, norm1, uplo="L")[0] * norm1,
+                                                  rel=1e-12)
+        # 1/||S^-1||_1 bounds the smallest eigenvalue from below, within sqrt(n)
+        lam_min = np.linalg.eigvalsh(S)[0]
+        assert lam_min / np.sqrt(21) <= ops.schur_min_eig <= lam_min * (1 + 1e-9)
+        err = max(np.max(np.abs(sol.plan.sum(axis=1) / w.weights - 1)),
+                  np.max(np.abs(sol.plan.sum(axis=0) / w.weights - 1)))
+        assert ops.max_rel_marginal_error == pytest.approx(err, rel=1e-9)
+
+
+class TestOracles:
+    @pytest.mark.parametrize("case, bound", [("dirichlet", 1e-8), ("geometric", 1e-6),
+                                             ("polynomial", 1e-6)])
+    def test_central_difference_through_solve(self, case, bound):
+        n, t = 60, 1e-4
+        cfg = erot.SolveConfig(tol=1e-13)
+        if case == "dirichlet":
+            r, s, m = _dirichlet_instance(n, 60)
+        else:
+            r, m = _tail(case, n)
+            s = r
+        sol = erot.solve(r, s, m, 1.0, cfg)
+        ops = _operators_quietly(sol, r, s, m)
+        rng = np.random.default_rng(61)
+        hX, hY = _relative_tangent(r, rng), _relative_tangent(s, rng)
+        d = plan_derivative(ops, hX, hY)
+
+        def plan_at(step):
+            rt = erot.validate_measure(r.weights + step * hX.entries, r.space)
+            st = erot.validate_measure(s.weights + step * hY.entries, s.space)
+            return erot.solve(rt, st, m, 1.0, cfg, warm_start=(sol.alpha, sol.beta)).plan
+
+        fd = (plan_at(t) - plan_at(-t)) / (2 * t)
+        assert np.abs(fd - d).sum() <= bound * np.abs(d).sum()
+
+    def test_cholesky_solves_against_dense_block_system(self):
+        n = 300
+        r, s, m = _dirichlet_instance(n, 300)
+        ops = _operators_quietly(erot.solve(r, s, m, 1.0), r, s, m)
+        pi, w_r, w_s = ops.base.plan, r.weights, s.weights
+        AX, AY, BX, BY = ops.AX, ops.AY, ops.BX, ops.BY
+        # [[I, AX], [AY, I]] (a, b) = (u, v), of size nx + ny - 1
+        M = np.block([[np.eye(n), AX], [AY, np.eye(n - 1)]])
+        rng = np.random.default_rng(301)
+        hX, hY = rng.normal(size=n), rng.normal(size=n)
+        a, b = _potential_corrections(ops, hX, hY)
+        ab = np.linalg.solve(M, np.concatenate((BX @ hY, BY @ hX)))
+        assert np.allclose(np.concatenate((a, b)), ab, rtol=0, atol=1e-10 * np.abs(ab).max())
+        # Jacobian rows <f, Dpi(e_x, 0)> and <f, Dpi(0, e_y)> for raw coordinates
+        fns = [m.cost, rng.uniform(-1, 1, (n, n))]
+        F = np.array(fns) * pi
+        gx, gy = F.sum(axis=2), F.sum(axis=1)
+        sol_x = np.linalg.solve(M, np.vstack((np.zeros((n, n)), BY)))
+        sol_y = np.linalg.solve(M, np.vstack((BX, np.zeros((n - 1, n)))))
+        JX = gx / w_r - gx @ sol_x[:n] - gy[:, 1:] @ sol_x[n:]
+        JY = gy / w_s - gx @ sol_y[:n] - gy[:, 1:] @ sol_y[n:]
+        got_x, got_y = _functional_jacobians(ops, fns)
+        assert np.allclose(got_x, JX, rtol=0, atol=1e-10 * np.abs(JX).max())
+        assert np.allclose(got_y, JY, rtol=0, atol=1e-10 * np.abs(JY).max())

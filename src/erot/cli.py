@@ -4,11 +4,19 @@ One executable with file-based I/O::
 
     erot solve --r r.json --s s.json --cost cost.json --lambda 1.0 --out sol.json
 
-Exit codes: 0 success, 2 validation/configuration error (machine-readable
-JSON on stderr), 3 solver non-convergence.  Every flag can also be provided
-through an environment variable EROT_<FLAG> (the flag wins).  Each run writes
-a manifest next to its outputs recording the resolved configuration, input
-digests and artifact paths.
+Each subcommand takes exactly the flags its handler reads (``COMMANDS``; types
+and defaults in ``FLAGS``): ``--seed`` only derivative-check, bootstrap, mc-clt
+and vanishing-lambda, ``--threads`` only the last three.  A flag the subcommand
+takes falls back to EROT_<FLAG> (``--max-iter`` to EROT_MAX_ITER; the flag
+wins); variables for flags it does not take are ignored.
+
+Exit codes: 0 success, 2 validation/configuration error (an unknown flag, a
+flag the subcommand does not take and a malformed value included), 3 solver
+non-convergence; the last stderr line is then a JSON object with "error" and
+"message".  The manifest next to each output records the resolved value of
+every flag the subcommand takes, a SHA-256 digest of every input file read,
+the seed (``seed_used``: the subcommand takes ``--seed``), the artifacts and,
+for bootstrap, mc-clt and vanishing-lambda, the runtime.
 """
 
 from __future__ import annotations
@@ -55,64 +63,57 @@ from .sinkhorn import (
 
 PLAN_FLOOR = 1e-16
 
-STOCHASTIC = {"bootstrap", "mc-clt", "vanishing-lambda", "derivative-check"}
+# flag: (type, default).  --lambda is required except by mc-clt; --out
+# defaults to the subcommand's own file name (COMMANDS).
+FLAGS = {
+    "r": (str, None),
+    "s": (str, None),
+    "cost": (str, None),
+    "out": (str, None),
+    "lambda": (float, 1.0),
+    "normalization": (str, "balanced"),
+    "tol": (float, 1e-10),
+    "max-iter": (int, 100_000),
+    "mode": (str, ONE_SAMPLE_R),
+    "delta": (float, None),
+    "theorem": (str, None),
+    "functions": (str, None),
+    "ts": (str, "1e-2,1e-3,1e-4"),
+    "seed": (int, 0),
+    "n": (int, None),
+    "B": (int, 1000),
+    "threads": (int, 1),
+    "config": (str, None),
+    "lambdas": (str, None),
+}
+# flags naming a file the subcommand reads; the manifest digests each one given
+INPUT_FLAGS = ("r", "s", "cost", "functions", "config")
 
 
-def _resolve(args, name: str, cast=str, required: bool = False, default=None):
-    """Flag value with EROT_<NAME> environment fallback (flag wins)."""
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is None:
-        env = os.environ.get("EROT_" + name.replace("-", "_").upper())
-        if env is not None:
-            try:
-                value = cast(env)
-            except ValueError as exc:
-                raise ConfigParse(f"bad value for EROT_{name.upper()}: {env}") from exc
-    if value is None:
-        value = default
-    if required and value is None:
-        raise ConfigParse(f"missing required option --{name}")
-    return value
+def _attr(flag: str) -> str:
+    """The attribute a flag resolves to: "-" as "_", and ``lam`` for --lambda."""
+    return "lam" if flag == "lambda" else flag.replace("-", "_")
 
 
-def _load_instance(args, lam: float | None = None):
-    """(lam, r, s, model, profile); lam comes from --lambda unless given."""
-    if lam is None:
-        lam = _resolve(args, "lambda", float, required=True)
-    r = io.load_measure(_resolve(args, "r", required=True))
-    s = io.load_measure(_resolve(args, "s", required=True))
-    model, profile = io.load_cost(
-        _resolve(args, "cost", required=True), r.space, s.space, lam
-    )
-    return lam, r, s, model, profile
+def _load_instance(a, lam: float):
+    """(r, s, model, profile) from --r, --s and --cost, the cost built at lam."""
+    r, s = io.load_measure(a.r), io.load_measure(a.s)
+    return r, s, *io.load_cost(a.cost, r.space, s.space, lam)
 
 
-def _solved(args):
-    """The instance solved at --lambda: (lam, r, s, model, cfg, sol)."""
-    lam, r, s, model, _ = _load_instance(args)
-    cfg = _solve_cfg(args)
-    return lam, r, s, model, cfg, solve(r, s, model, lam, cfg)
-
-
-def _design(args):
-    """--mode (default one_sample_r) and --delta with the Design they name;
-    an unknown mode is a ConfigParse error."""
-    mode = _resolve(args, "mode", default=ONE_SAMPLE_R)
-    delta = _resolve(args, "delta", float)
-    return mode, delta, Design.of(mode, delta)
-
-
-def _solve_cfg(args) -> SolveConfig:
-    norm = _resolve(args, "normalization", default="balanced")
+def _solve_cfg(a) -> SolveConfig:
     try:
-        normalization = Normalization(norm)
+        normalization = Normalization(a.normalization)
     except ValueError as exc:
-        raise ConfigParse(f"unknown normalization {norm!r}") from exc
-    return SolveConfig(
-        tol=_resolve(args, "tol", float, default=1e-10),
-        max_iter=_resolve(args, "max_iter", int, default=100_000),
-        normalization=normalization,
-    )
+        raise ConfigParse(f"unknown normalization {a.normalization!r}") from exc
+    return SolveConfig(tol=a.tol, max_iter=a.max_iter, normalization=normalization)
+
+
+def _solved(a):
+    """The instance solved at --lambda: (r, s, model, cfg, sol)."""
+    r, s, model, _ = _load_instance(a, a.lam)
+    cfg = _solve_cfg(a)
+    return r, s, model, cfg, solve(r, s, model, a.lam, cfg)
 
 
 def _plan_triplets(plan: np.ndarray):
@@ -120,39 +121,15 @@ def _plan_triplets(plan: np.ndarray):
     return [[int(x), int(y), float(plan[x, y])] for x, y in zip(xs, ys)]
 
 
-def _inputs(args, names=("r", "s", "cost")):
-    return [getattr(args, n) for n in names if getattr(args, n, None)]
-
-
-def _finish(args, subcommand: str, out_path, payload, extra_artifacts=(),
-            seed=None, runtime=None):
-    io.dump_json(payload, out_path)
-    manifest_path = Path(out_path).with_suffix(".manifest.json")
-    config = {
-        k: v for k, v in vars(args).items() if k != "func" and v is not None
-    }
-    io.write_manifest(
-        manifest_path,
-        subcommand,
-        config,
-        _inputs(args),
-        [str(out_path), *map(str, extra_artifacts)],
-        seed=seed,
-        seed_used=subcommand in STOCHASTIC,
-        runtime=runtime,
-    )
-    return 0
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each takes the resolved flags and returns its payload
+# and the paths of any artifacts it wrote besides the output
 
 
-def _cmd_solve(args):
-    lam, r, s, model, _, sol = _solved(args)
-    out = _resolve(args, "out", default="solution.json")
-    payload = {
-        "lambda": lam,
+def _cmd_solve(a):
+    r, s, model, _, sol = _solved(a)
+    return {
+        "lambda": a.lam,
         "value": sol.value,
         "sinkhorn_cost": sol.cost_part,
         "mutual_info": sol.mutual_info,
@@ -162,83 +139,69 @@ def _cmd_solve(args):
         "iterations": sol.iterations,
         "marginal_residual": sol.marginal_residual,
         "normalization": sol.normalization.value,
-    }
-    return _finish(args, "solve", out, payload)
+    }, ()
 
 
-def _cmd_divergence(args):
-    lam, r, s, model, _ = _load_instance(args)
-    d = sinkhorn_divergence(r, s, model, lam, _solve_cfg(args))
-    out = _resolve(args, "out", default="divergence.json")
-    return _finish(args, "divergence", out, {"lambda": lam, "divergence": d})
+def _cmd_divergence(a):
+    r, s, model, _ = _load_instance(a, a.lam)
+    d = sinkhorn_divergence(r, s, model, a.lam, _solve_cfg(a))
+    return {"lambda": a.lam, "divergence": d}, ()
 
 
-def _cmd_bounds(args):
-    lam, r, s, model, _, sol = _solved(args)
-    report = verify_bounds(sol, model, r, s)
-    out = _resolve(args, "out", default="bounds.json")
-    return _finish(args, "bounds", out, {"lambda": lam, **report.to_dict()})
+def _cmd_bounds(a):
+    r, s, model, _, sol = _solved(a)
+    return {"lambda": a.lam, **verify_bounds(sol, model, r, s).to_dict()}, ()
 
 
-def _cmd_check_conditions(args):
-    lam = _resolve(args, "lambda", float, required=True)
-    theorem = _resolve(args, "theorem", required=True)
-    _, r, s, _, profile = _load_instance(args, lam)
-    if theorem == "value":
-        mode = _resolve(args, "mode", default="one_sample")
-        report = check_value_conditions(r, s, profile, mode)
-    elif theorem == "plan":
+def _cmd_check_conditions(a):
+    r, s, _, profile = _load_instance(a, a.lam)
+    if a.theorem == "value":
+        report = check_value_conditions(r, s, profile, a.mode)
+    elif a.theorem == "plan":
         report = check_plan_conditions(r, s, profile)
     else:
-        raise ConfigParse(f"unknown theorem {theorem!r} (expected value|plan)")
-    out = _resolve(args, "out", default="conditions.json")
-    return _finish(args, "check-conditions", out, report.to_dict())
+        raise ConfigParse(f"unknown theorem {a.theorem!r} (expected value|plan)")
+    return report.to_dict(), ()
 
 
-def _cmd_variance(args):
-    mode, delta, design = _design(args)
-    lam, r, s, model, cfg, sol = _solved(args)
+def _cmd_variance(a):
+    design = Design.of(a.mode, a.delta)
+    r, s, model, cfg, sol = _solved(a)
     payload = {
-        "lambda": lam,
-        "mode": mode,
-        "delta": delta,
+        "lambda": a.lam,
+        "mode": a.mode,
+        "delta": a.delta,
         "sigma2_value": value_variance(sol, r, s, design),
     }
     ops = build_operators(sol, r, s, model)
     payload["sigma_tilde2_cost"] = sinkhorn_cost_variance(ops, r, s, model, design)
     if model.is_symmetric:
-        payload["sigma2_divergence"] = divergence_variance(r, s, model, lam, design, cfg=cfg)
-    out = _resolve(args, "out", default="variance.json")
-    return _finish(args, "variance", out, payload)
+        payload["sigma2_divergence"] = divergence_variance(r, s, model, a.lam, design, cfg=cfg)
+    return payload, ()
 
 
-def _cmd_plan_cov(args):
-    mode, delta, design = _design(args)
-    lam, r, s, model, _, sol = _solved(args)
-    fns = io.load_function_tables(
-        _resolve(args, "functions", required=True), model.cost.shape
-    )
+def _cmd_plan_cov(a):
+    design = Design.of(a.mode, a.delta)
+    r, s, model, _, sol = _solved(a)
+    fns = io.load_function_tables(a.functions, model.cost.shape)
     ops = build_operators(sol, r, s, model)
     cov = functional_covariance(ops, r, s, fns, design)
-    out = _resolve(args, "out", default="plan_cov.json")
-    payload = {
-        "lambda": lam,
-        "mode": mode,
-        "delta": delta,
+    return {
+        "lambda": a.lam,
+        "mode": a.mode,
+        "delta": a.delta,
         "n_functions": len(fns),
         "covariance": cov,
         "contraction_norm": ops.contraction_norm,
         "schur_min_eig": ops.schur_min_eig,
-    }
-    return _finish(args, "plan-cov", out, payload)
+    }, ()
 
 
-def _cmd_derivative_check(args):
-    seed = _resolve(args, "seed", int, default=0)
-    ts = [float(t) for t in _resolve(args, "ts", default="1e-2,1e-3,1e-4").split(",")]
-    lam, r, s, model, cfg, sol = _solved(args)
+def _cmd_derivative_check(a):
+    ts = [float(t) for t in a.ts.split(",")]
+    r, s, model, cfg, sol = _solved(a)
     ops = build_operators(sol, r, s, model)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(a.seed)
 
     def tangent(measure):
         h = rng.standard_normal(measure.space.size)
@@ -254,7 +217,7 @@ def _cmd_derivative_check(args):
     for t in ts:
         r_t = type(r)(r.space, r.weights + t * hX.entries, tail=r.tail)
         s_t = type(s)(s.space, s.weights + t * hY.entries, tail=s.tail)
-        sol_t = solve(r_t, s_t, model, lam, cfg, warm_start=(sol.alpha, sol.beta))
+        sol_t = solve(r_t, s_t, model, a.lam, cfg, warm_start=(sol.alpha, sol.beta))
         plan_errors.append(float(np.abs((sol_t.plan - sol.plan) / t - dpi).sum()))
         value_errors.append(abs((sol_t.value - sol.value) / t - dval))
 
@@ -263,8 +226,8 @@ def _cmd_derivative_check(args):
         le = np.log(np.maximum(np.asarray(errors), 1e-300))
         return float(np.polyfit(lt, le, 1)[0])
 
-    payload = {
-        "lambda": lam,
+    return {
+        "lambda": a.lam,
         "ts": ts,
         "plan_fd_errors": plan_errors,
         "value_fd_errors": value_errors,
@@ -272,103 +235,88 @@ def _cmd_derivative_check(args):
         "value_slope": slope(value_errors),
         "contraction_norm": ops.contraction_norm,
         "schur_min_eig": ops.schur_min_eig,
-    }
-    out = _resolve(args, "out", default="derivative_check.json")
-    return _finish(args, "derivative-check", out, payload, seed=seed)
+    }, ()
 
 
-def _cmd_bootstrap(args):
-    seed = _resolve(args, "seed", int, default=0)
-    n = _resolve(args, "n", int, required=True)
-    B = _resolve(args, "B", int, default=1000)
-    threads = _resolve(args, "threads", int, default=1)
-    lam, r, s, model, _ = _load_instance(args)
-    ss = np.random.SeedSequence(seed).spawn(2)
+def _cmd_bootstrap(a):
+    r, s, model, _ = _load_instance(a, a.lam)
+    ss = np.random.SeedSequence(a.seed).spawn(2)
     sample = np.random.default_rng(ss[0]).choice(
-        r.space.size, size=n, p=r.weights
+        r.space.size, size=a.n, p=r.weights
     )
+    cfg = _solve_cfg(a)
     start = time.perf_counter()
-    fpath = _resolve(args, "functions", default=None)
-    if fpath:
-        f = io.load_function_tables(fpath, model.cost.shape)[0]
+    if a.functions:
+        f = io.load_function_tables(a.functions, model.cost.shape)[0]
         draws = bootstrap_plan_functional(
-            sample, s, model, lam, f, B, ss[1], r.space, threads, _solve_cfg(args)
-        )
+            sample, s, model, a.lam, f, a.B, ss[1], r.space, a.threads, cfg)
     else:
-        draws = bootstrap_value(
-            sample, s, model, lam, B, ss[1], r.space, threads, _solve_cfg(args)
-        )
+        draws = bootstrap_value(sample, s, model, a.lam, a.B, ss[1], r.space, a.threads, cfg)
     runtime = time.perf_counter() - start
-    out = Path(_resolve(args, "out", default="bootstrap.json"))
-    draws_csv = out.with_suffix(".draws.csv")
+    draws_csv = Path(a.out).with_suffix(".draws.csv")
     io.write_draws_csv(draws, draws_csv)
-    payload = {
-        "lambda": lam,
-        "n": n,
-        "B": B,
+    return {
+        "lambda": a.lam,
+        "n": a.n,
+        "B": a.B,
         "sample_mean": float(draws.mean()),
-        "sample_var": float(draws.var(ddof=1)) if B > 1 else 0.0,
+        "sample_var": float(draws.var(ddof=1)) if a.B > 1 else 0.0,
         "draws_csv": str(draws_csv),
-    }
-    return _finish(args, "bootstrap", out, payload, [draws_csv], seed=seed,
-                   runtime=runtime)
+        "runtime": runtime,
+    }, [draws_csv]
 
 
-def _cmd_mc_clt(args):
-    cfg_raw = io.load_json(_resolve(args, "config", required=True))
-    lam = float(cfg_raw.get("lambda", _resolve(args, "lambda", float, default=1.0)))
-    _, r, s, model, profile = _load_instance(args, lam)
+def _cmd_mc_clt(a):
+    cfg_raw = io.load_json(a.config)
+    # the experiment file's lambda and seed win over the flags; the manifest
+    # records the ones used
+    a.lam = float(cfg_raw.get("lambda", a.lam))
+    a.seed = int(cfg_raw.get("seed", a.seed))
+    r, s, model, profile = _load_instance(a, a.lam)
     f = np.asarray(cfg_raw["f"], dtype=float) if "f" in cfg_raw else None
     cfg = ExperimentConfig(
         statistic=cfg_raw.get("statistic", "ValueCLT"),
         n=int(cfg_raw.get("n", 1000)),
         m=int(cfg_raw["m"]) if "m" in cfg_raw else None,
         replications=int(cfg_raw.get("replications", 500)),
-        lam=lam,
-        seed=int(cfg_raw.get("seed", _resolve(args, "seed", int, default=0))),
+        lam=a.lam,
+        seed=a.seed,
         f=f,
-        threads=_resolve(args, "threads", int, default=1),
+        threads=a.threads,
+        solve_cfg=_solve_cfg(a),
     )
     conditions = check_value_conditions(r, s, profile, cfg.design)
     report = mc_clt_experiment(r, s, model, cfg, conditions)
-    out = Path(_resolve(args, "out", default="mc_clt.json"))
-    draws_csv = out.with_suffix(".draws.csv")
-    qq_csv = out.with_suffix(".qq.csv")
+    draws_csv = Path(a.out).with_suffix(".draws.csv")
+    qq_csv = Path(a.out).with_suffix(".qq.csv")
     io.write_draws_csv(report.standardized_draws, draws_csv)
     io.write_qq_csv(report.standardized_draws, report.target_sigma2, qq_csv)
     payload = report.to_dict()
-    runtime = payload.pop("runtime")
     payload["conditions"] = conditions.to_dict()
-    return _finish(args, "mc-clt", out, payload, [draws_csv, qq_csv],
-                   seed=cfg.seed, runtime=runtime)
+    return payload, [draws_csv, qq_csv]
 
 
-def _cmd_vanishing_lambda(args):
-    cfg_raw = io.load_json(_resolve(args, "config", required=True))
-    _, r, s, model, _ = _load_instance(args, 1.0)
-    seed = int(cfg_raw.get("seed", _resolve(args, "seed", int, default=0)))
+def _cmd_vanishing_lambda(a):
+    cfg_raw = io.load_json(a.config)
+    r, s, model, _ = _load_instance(a, 1.0)
+    a.seed = int(cfg_raw.get("seed", a.seed))
     report = vanishing_lambda_experiment(
         r, s, model,
         sample_sizes=tuple(cfg_raw.get("sample_sizes", (500, 2000, 8000))),
         lambda_coef=float(cfg_raw.get("lambda_coef", 1.0)),
         lambda_exponent=float(cfg_raw.get("lambda_exponent", -0.6)),
         replications=int(cfg_raw.get("replications", 200)),
-        seed=seed,
-        threads=_resolve(args, "threads", int, default=1),
+        seed=a.seed,
+        threads=a.threads,
     )
-    out = Path(_resolve(args, "out", default="vanishing_lambda.json"))
-    draws_csv = out.with_suffix(".draws.csv")
+    draws_csv = Path(a.out).with_suffix(".draws.csv")
     io.write_draws_csv(report.standardized_draws, draws_csv)
-    payload = report.to_dict()
-    runtime = payload.pop("runtime")
-    return _finish(args, "vanishing-lambda", out, payload, [draws_csv],
-                   seed=seed, runtime=runtime)
+    return report.to_dict(), [draws_csv]
 
 
-def _cmd_ot_exact(args):
-    _, r, s, model, _ = _load_instance(args, 1.0)
+def _cmd_ot_exact(a):
+    r, s, model, _ = _load_instance(a, 1.0)
     ot = exact_ot_small(r, s, model)
-    lambdas = _resolve(args, "lambdas", default=None)
     payload = {
         "value": ot.value,
         "alpha0": ot.alpha0,
@@ -376,63 +324,109 @@ def _cmd_ot_exact(args):
         "plan": _plan_triplets(ot.plan),
         "unique_potentials": ot.unique_potentials,
     }
-    if lambdas:
-        gaps = vanishing_reg_gap(r, s, model, [float(l) for l in lambdas.split(",")])
+    if a.lambdas:
+        gaps = vanishing_reg_gap(r, s, model, [float(l) for l in a.lambdas.split(",")])
         payload["gap_report"] = gaps.to_dict()
-    out = _resolve(args, "out", default="ot_exact.json")
-    return _finish(args, "ot-exact", out, payload)
+    return payload, ()
 
 
 # ---------------------------------------------------------------------------
-# parser
+# subcommands, parser and writer
+
+INSTANCE = ("r!", "s!", "cost!")
+SOLVE_CFG = ("normalization", "tol", "max-iter")
+SOLVED = ("lambda!", *INSTANCE, *SOLVE_CFG)
+DESIGN = ("mode", "delta")
+
+# subcommand: (handler, default --out, the flags besides --out that it reads,
+# in the order they are resolved); a flag marked "!" must be set, by the flag
+# or its environment variable
+COMMANDS = {
+    "solve": (_cmd_solve, "solution.json", SOLVED),
+    "divergence": (_cmd_divergence, "divergence.json", SOLVED),
+    "bounds": (_cmd_bounds, "bounds.json", SOLVED),
+    "check-conditions": (_cmd_check_conditions, "conditions.json",
+                         ("lambda!", "theorem!", *INSTANCE, "mode")),
+    "variance": (_cmd_variance, "variance.json", (*DESIGN, *SOLVED)),
+    "plan-cov": (_cmd_plan_cov, "plan_cov.json", (*DESIGN, *SOLVED, "functions!")),
+    "derivative-check": (_cmd_derivative_check, "derivative_check.json",
+                         ("seed", "ts", *SOLVED)),
+    "bootstrap": (_cmd_bootstrap, "bootstrap.json",
+                  ("seed", "n!", "B", "threads", *SOLVED, "functions")),
+    "mc-clt": (_cmd_mc_clt, "mc_clt.json",
+               ("config!", "lambda", *INSTANCE, *SOLVE_CFG, "seed", "threads")),
+    "vanishing-lambda": (_cmd_vanishing_lambda, "vanishing_lambda.json",
+                         ("config!", *INSTANCE, "seed", "threads")),
+    "ot-exact": (_cmd_ot_exact, "ot_exact.json", (*INSTANCE, "lambdas")),
+}
+
+
+def _flags(subcommand: str) -> list:
+    """(flag, required) for every flag the subcommand takes, --out last."""
+    return [(f.rstrip("!"), f.endswith("!")) for f in (*COMMANDS[subcommand][2], "out")]
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigParse, reported as JSON; subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigParse(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="erot",
         description="Entropic optimal transport solver and inference toolkit.",
     )
     sub = parser.add_subparsers(dest="subcommand")
-
-    def add(name, func, *, instance=True, flags=()):
+    for name in COMMANDS:
         p = sub.add_parser(name)
-        if instance:
-            p.add_argument("--r")
-            p.add_argument("--s")
-            p.add_argument("--cost")
-        p.add_argument("--out")
-        p.add_argument("--threads", type=int)
-        p.add_argument("--seed", type=int)
-        for flag, kwargs in flags:
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(func=func)
-        return p
-
-    solver_flags = [
-        ("--lambda", {"dest": "lambda", "type": float}),
-        ("--tol", {"type": float}),
-        ("--max-iter", {"dest": "max_iter", "type": int}),
-        ("--normalization", {}),
-    ]
-    mode_flags = [("--mode", {}), ("--delta", {"type": float})]
-
-    add("solve", _cmd_solve, flags=solver_flags)
-    add("divergence", _cmd_divergence, flags=solver_flags)
-    add("bounds", _cmd_bounds, flags=solver_flags)
-    add("check-conditions", _cmd_check_conditions,
-        flags=solver_flags + [("--theorem", {})] + mode_flags)
-    add("variance", _cmd_variance, flags=solver_flags + mode_flags)
-    add("plan-cov", _cmd_plan_cov,
-        flags=solver_flags + mode_flags + [("--functions", {})])
-    add("derivative-check", _cmd_derivative_check,
-        flags=solver_flags + [("--ts", {})])
-    add("bootstrap", _cmd_bootstrap,
-        flags=solver_flags + [("--n", {"type": int}), ("--B", {"dest": "B", "type": int}),
-                              ("--functions", {})])
-    add("mc-clt", _cmd_mc_clt, flags=solver_flags + [("--config", {})])
-    add("vanishing-lambda", _cmd_vanishing_lambda, flags=[("--config", {})])
-    add("ot-exact", _cmd_ot_exact, flags=[("--lambdas", {})])
+        for flag, _ in _flags(name):
+            p.add_argument("--" + flag, dest=_attr(flag))
     return parser
+
+
+def _settings(args) -> argparse.Namespace:
+    """Every flag the subcommand takes, resolved once: the flag, else
+    EROT_<FLAG>, else (unless marked required) the FLAGS default."""
+    out = COMMANDS[args.subcommand][1]
+    a = argparse.Namespace()
+    for flag, required in _flags(args.subcommand):
+        cast, default = FLAGS[flag]
+        raw, source = getattr(args, _attr(flag)), "--" + flag
+        if raw is None:
+            source = "EROT_" + flag.replace("-", "_").upper()
+            raw = os.environ.get(source)
+        if raw is None:
+            if required:
+                raise ConfigParse(f"missing required option --{flag}")
+            value = out if flag == "out" else default
+        else:
+            try:
+                value = cast(raw)
+            except ValueError as exc:
+                raise ConfigParse(f"bad value for {source}: {raw}") from exc
+        setattr(a, _attr(flag), value)
+    return a
+
+
+def _write(subcommand: str, a, payload: dict, artifacts) -> None:
+    """The output JSON and its manifest; a "runtime" entry of the payload
+    goes to the manifest instead."""
+    runtime = payload.pop("runtime", None)
+    io.dump_json(payload, a.out)
+    config = {flag: getattr(a, _attr(flag)) for flag, _ in _flags(subcommand)}
+    io.write_manifest(
+        Path(a.out).with_suffix(".manifest.json"),
+        subcommand,
+        config,
+        [config[f] for f in INPUT_FLAGS if config.get(f)],
+        [a.out, *artifacts],
+        seed=config.get("seed"),
+        seed_used="seed" in config,
+        runtime=runtime,
+    )
 
 
 def _error_payload(exc: Exception) -> str:
@@ -447,14 +441,16 @@ def _error_payload(exc: Exception) -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
-        print(_error_payload(ConfigParse("no subcommand given")), file=sys.stderr)
-        return 2
     try:
-        return args.func(args)
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        if args.subcommand is None:
+            parser.print_usage(sys.stderr)
+            raise ConfigParse("no subcommand given")
+        a = _settings(args)
+        payload, artifacts = COMMANDS[args.subcommand][0](a)
+        _write(args.subcommand, a, payload, artifacts)
+        return 0
     except NonConvergence as exc:
         print(_error_payload(exc), file=sys.stderr)
         return 3

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -117,8 +118,9 @@ class CostModel:
             if np.any(lo > self.cost + SANDWICH_TOL) or np.any(self.cost > hi + SANDWICH_TOL):
                 raise InvalidFamilyParams("dominating functions do not sandwich the cost")
 
-    @property
+    @cached_property
     def is_symmetric(self) -> bool:
+        # computed on first read; the frozen model keeps the answer
         return (
             self.space_X.same_as(self.space_Y)
             and self.cost.shape[0] == self.cost.shape[1]

@@ -91,6 +91,40 @@ class TestSolve:
         assert err["residual"] is None
 
 
+
+@pytest.mark.parametrize("extra, message", [
+    (["--lambda", "1", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["--lambda", "1", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["--lambda", "abc"], "bad value for --lambda: abc"),
+])
+def test_usage_errors_are_config_parse(instance, capsys, extra, message):
+    paths, tmp = instance
+    code = main(["solve", *_base(paths, *extra, "--out", str(tmp / "u.json"))])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "ConfigParse", "message": message}
+
+
+def test_manifest_records_resolved_config_and_inputs(instance, monkeypatch):
+    paths, tmp = instance
+    monkeypatch.setenv("EROT_LAMBDA", "2")
+    monkeypatch.setenv("EROT_R", paths["r"])
+    out = tmp / "m.json"
+    assert main(["solve", "--s", paths["s"], "--cost", paths["cost"],
+                 "--out", str(out)]) == 0
+    manifest = json.loads((tmp / "m.manifest.json").read_text())
+    assert manifest["config"]["lambda"] == 2.0
+    assert manifest["config"]["r"] == paths["r"]
+    assert paths["r"] in manifest["input_digests"]
+    assert manifest["seed"] is None and manifest["seed_used"] is False
+    fns = tmp / "fns.json"
+    fns.write_text(json.dumps([np.eye(3).tolist()]))
+    out = tmp / "c.json"
+    assert main(["plan-cov", "--s", paths["s"], "--cost", paths["cost"],
+                 "--functions", str(fns), "--out", str(out)]) == 0
+    digests = json.loads((tmp / "c.manifest.json").read_text())["input_digests"]
+    assert set(digests) == {paths["r"], paths["s"], paths["cost"], str(fns)}
+
 def test_no_subcommand_exit_2(capsys):
     assert main([]) == 2
     assert "ConfigParse" in capsys.readouterr().err
@@ -265,6 +299,17 @@ class TestStochasticCommands:
         assert "runtime" not in payload  # timing lives in the manifest only
         manifest = json.loads((tmp / "mc.manifest.json").read_text())
         assert manifest["runtime"] > 0
+
+    def test_mc_clt_honours_max_iter(self, instance, capsys):
+        paths, tmp = instance
+        cfg = tmp / "cfg.json"
+        cfg.write_text(json.dumps({"n": 200, "replications": 2, "seed": 3}))
+        code = main(["mc-clt", *_base(paths, "--config", str(cfg), "--max-iter", "0",
+                                      "--out", str(tmp / "mc.json"))])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "NonConvergence"
+        assert err["iterations"] == 0
 
     def test_vanishing_lambda_manifest_seed_from_flag(self, instance):
         paths, tmp = instance

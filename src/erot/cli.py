@@ -11,12 +11,18 @@ takes falls back to EROT_<FLAG> (``--max-iter`` to EROT_MAX_ITER; the flag
 wins); variables for flags it does not take are ignored.
 
 Exit codes: 0 success, 2 validation/configuration error (an unknown flag, a
-flag the subcommand does not take and a malformed value included), 3 solver
-non-convergence; the last stderr line is then a JSON object with "error" and
-"message".  The manifest next to each output records the resolved value of
-every flag the subcommand takes, a SHA-256 digest of every input file read,
-the seed (``seed_used``: the subcommand takes ``--seed``), the artifacts and,
-for bootstrap, mc-clt and vanishing-lambda, the runtime.
+flag the subcommand does not take and a malformed value, in a flag or an
+experiment file, included), 3 solver non-convergence; the last stderr line is
+then a JSON object with "error" and "message".  The manifest next to each
+output records the resolved value of every flag the subcommand takes, a
+SHA-256 digest of every input file read, the seed (``seed_used``: the
+subcommand takes ``--seed``), the artifacts and, for bootstrap, mc-clt and
+vanishing-lambda, the runtime.
+
+Start-up is kept small: importing this module loads no scipy module, and a
+subcommand imports only the scipy modules its computation uses (scipy.linalg
+for the derivative layer, scipy.special for the normal reference of the MC
+experiments, scipy.optimize and scipy.sparse for the exact LP).
 """
 
 from __future__ import annotations
@@ -95,6 +101,32 @@ def _attr(flag: str) -> str:
     return "lam" if flag == "lambda" else flag.replace("-", "_")
 
 
+def _parse(cast, raw, source: str):
+    """cast(raw); a value it rejects is a ConfigParse naming its source."""
+    try:
+        return cast(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigParse(f"bad value for {source}: {raw}") from exc
+
+
+def _floats(text: str) -> list:
+    """A comma-separated list flag such as --ts."""
+    return [float(v) for v in text.split(",")]
+
+
+def _experiment(path) -> dict:
+    """The JSON object of an experiment file (--config)."""
+    raw = io.load_json(path)
+    if not isinstance(raw, dict):
+        raise ConfigParse(f"experiment file {path} must hold a JSON object")
+    return raw
+
+
+def _entry(raw: dict, key: str, cast, default, path):
+    """raw[key] from an experiment file, cast, else the default."""
+    return _parse(cast, raw[key], f"{key!r} in {path}") if key in raw else default
+
+
 def _load_instance(a, lam: float):
     """(r, s, model, profile) from --r, --s and --cost, the cost built at lam."""
     r, s = io.load_measure(a.r), io.load_measure(a.s)
@@ -118,7 +150,7 @@ def _solved(a):
 
 def _plan_triplets(plan: np.ndarray):
     xs, ys = np.nonzero(np.abs(plan) > PLAN_FLOOR)
-    return [[int(x), int(y), float(plan[x, y])] for x, y in zip(xs, ys)]
+    return [list(t) for t in zip(xs.tolist(), ys.tolist(), plan[xs, ys].tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +230,7 @@ def _cmd_plan_cov(a):
 
 
 def _cmd_derivative_check(a):
-    ts = [float(t) for t in a.ts.split(",")]
+    ts = _parse(_floats, a.ts, "--ts")
     r, s, model, cfg, sol = _solved(a)
     ops = build_operators(sol, r, s, model)
     rng = np.random.default_rng(a.seed)
@@ -267,18 +299,18 @@ def _cmd_bootstrap(a):
 
 
 def _cmd_mc_clt(a):
-    cfg_raw = io.load_json(a.config)
+    cfg_raw = _experiment(a.config)
     # the experiment file's lambda and seed win over the flags; the manifest
     # records the ones used
-    a.lam = float(cfg_raw.get("lambda", a.lam))
-    a.seed = int(cfg_raw.get("seed", a.seed))
+    a.lam = _entry(cfg_raw, "lambda", float, a.lam, a.config)
+    a.seed = _entry(cfg_raw, "seed", int, a.seed, a.config)
     r, s, model, profile = _load_instance(a, a.lam)
     f = np.asarray(cfg_raw["f"], dtype=float) if "f" in cfg_raw else None
     cfg = ExperimentConfig(
         statistic=cfg_raw.get("statistic", "ValueCLT"),
-        n=int(cfg_raw.get("n", 1000)),
-        m=int(cfg_raw["m"]) if "m" in cfg_raw else None,
-        replications=int(cfg_raw.get("replications", 500)),
+        n=_entry(cfg_raw, "n", int, 1000, a.config),
+        m=_entry(cfg_raw, "m", int, None, a.config),
+        replications=_entry(cfg_raw, "replications", int, 500, a.config),
         lam=a.lam,
         seed=a.seed,
         f=f,
@@ -297,15 +329,15 @@ def _cmd_mc_clt(a):
 
 
 def _cmd_vanishing_lambda(a):
-    cfg_raw = io.load_json(a.config)
+    cfg_raw = _experiment(a.config)
     r, s, model, _ = _load_instance(a, 1.0)
-    a.seed = int(cfg_raw.get("seed", a.seed))
+    a.seed = _entry(cfg_raw, "seed", int, a.seed, a.config)
     report = vanishing_lambda_experiment(
         r, s, model,
         sample_sizes=tuple(cfg_raw.get("sample_sizes", (500, 2000, 8000))),
-        lambda_coef=float(cfg_raw.get("lambda_coef", 1.0)),
-        lambda_exponent=float(cfg_raw.get("lambda_exponent", -0.6)),
-        replications=int(cfg_raw.get("replications", 200)),
+        lambda_coef=_entry(cfg_raw, "lambda_coef", float, 1.0, a.config),
+        lambda_exponent=_entry(cfg_raw, "lambda_exponent", float, -0.6, a.config),
+        replications=_entry(cfg_raw, "replications", int, 200, a.config),
         seed=a.seed,
         threads=a.threads,
     )
@@ -316,7 +348,11 @@ def _cmd_vanishing_lambda(a):
 
 def _cmd_ot_exact(a):
     r, s, model, _ = _load_instance(a, 1.0)
-    ot = exact_ot_small(r, s, model)
+    gaps = None
+    if a.lambdas:
+        gaps = vanishing_reg_gap(r, s, model, _parse(_floats, a.lambdas, "--lambdas"))
+    # the gap report carries the exact transport it was measured from
+    ot = exact_ot_small(r, s, model) if gaps is None else gaps.ot
     payload = {
         "value": ot.value,
         "alpha0": ot.alpha0,
@@ -324,8 +360,7 @@ def _cmd_ot_exact(a):
         "plan": _plan_triplets(ot.plan),
         "unique_potentials": ot.unique_potentials,
     }
-    if a.lambdas:
-        gaps = vanishing_reg_gap(r, s, model, [float(l) for l in a.lambdas.split(",")])
+    if gaps is not None:
         payload["gap_report"] = gaps.to_dict()
     return payload, ()
 
@@ -403,10 +438,7 @@ def _settings(args) -> argparse.Namespace:
                 raise ConfigParse(f"missing required option --{flag}")
             value = out if flag == "out" else default
         else:
-            try:
-                value = cast(raw)
-            except ValueError as exc:
-                raise ConfigParse(f"bad value for {source}: {raw}") from exc
+            value = _parse(cast, raw, source)
         setattr(a, _attr(flag), value)
     return a
 

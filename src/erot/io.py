@@ -3,14 +3,15 @@
 Measures are JSON objects {"labels": [...], "weights": [...]} with optional
 "coords" (per-atom coordinate or coordinate list) and "tail" ({"kind":
 "geometric", "q": 0.7} etc.).  Cost files hold a family spec as consumed by
-costs.build_cost.  Floats are emitted with 17 significant digits so every
-value round-trips exactly.
+costs.build_cost.  Output JSON is indented by two spaces; floats are written
+as Python's shortest round-trip repr, so every value round-trips exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -27,25 +28,52 @@ from .measures import (
 )
 
 
-def _render(obj):
-    """Recursively convert to JSON-serializable types with 17-digit floats."""
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(f"{float(obj):.17g}")
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
+# element types json's C encoder writes without quotes or brackets
+_NUMBERS = frozenset((int, float, bool))
+
+
+def _is_numbers(items) -> bool:
+    return set(map(type, items)) <= _NUMBERS
+
+
+def _encode(obj, pad: str) -> str:
+    """obj as json.dumps(indent=2) writes it, the first line unindented and
+    the rest indented by `pad`; numpy arrays and scalars are written as the
+    Python values they hold."""
     if isinstance(obj, np.ndarray):
-        return [_render(v) for v in obj.tolist()]
+        obj = obj.tolist()
+    elif isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, dict):
-        return {k: _render(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        # json.dumps({k: 0}) applies json's rules for non-str keys
+        items = [json.dumps({k: 0})[1:-4] + ": " + _encode(v, inner) for k, v in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        return [_render(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        if _is_numbers(obj):
+            # compact numbers hold no ", ", so it only separates them
+            body = json.dumps(obj)[1:-1].replace(", ", ",\n" + inner)
+            return "[\n" + inner + body + "\n" + pad + "]"
+        if set(map(type, obj)) == {list} and all(obj) and _is_numbers(chain.from_iterable(obj)):
+            deeper = inner + "  "
+            body = (json.dumps(obj)[2:-2]
+                    .replace("], [", "\n" + inner + "],\n" + inner + "[\n" + deeper)
+                    .replace(", ", ",\n" + deeper))
+            return "[\n" + inner + "[\n" + deeper + body + "\n" + inner + "]\n" + pad + "]"
+        items = [_encode(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return json.dumps(obj)
 
 
 def dump_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(_render(obj), indent=2) + "\n")
+    """Write obj as indented JSON; numbers and lists of them go through
+    json's C encoder in one pass."""
+    Path(path).write_text(_encode(obj, "") + "\n")
 
 
 def load_json(path):
@@ -137,12 +165,12 @@ def write_draws_csv(draws: np.ndarray, path) -> None:
 
 def write_qq_csv(draws: np.ndarray, sigma2: float, path) -> None:
     """Quantile pairs of the draws against N(0, sigma2)."""
-    from scipy import stats
+    from scipy.special import ndtri
 
     draws = np.sort(np.asarray(draws, dtype=float))
     n = draws.size
     probs = (np.arange(1, n + 1) - 0.5) / n
-    theo = stats.norm.ppf(probs, scale=np.sqrt(sigma2)) if sigma2 > 0 else np.zeros(n)
+    theo = ndtri(probs) * np.sqrt(sigma2) if sigma2 > 0 else np.zeros(n)
     lines = ["theoretical,empirical"]
     lines += [f"{t:.17g},{e:.17g}" for t, e in zip(theo, draws)]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -93,8 +93,6 @@ class MCReport:
 def ks_statistic(draws: np.ndarray, reference) -> float:
     """Sup distance between the empirical CDF of `draws` and a reference,
     either a CDF callable or a second sample (two-sample statistic)."""
-    from scipy import stats
-
     draws = np.asarray(draws, dtype=float)
     if draws.size == 0:
         raise EmptyInput("no draws supplied")
@@ -105,15 +103,17 @@ def ks_statistic(draws: np.ndarray, reference) -> float:
         return float(
             max(np.max(np.arange(1, n + 1) / n - F), np.max(F - np.arange(0, n) / n))
         )
+    from scipy import stats
+
     return float(stats.ks_2samp(draws, np.asarray(reference, dtype=float)).statistic)
 
 
 def _normal_or_degenerate_cdf(sigma2: float):
-    from scipy import stats
+    from scipy.special import ndtr
 
     if sigma2 > 1e-14:
         sd = float(np.sqrt(sigma2))
-        return lambda x: stats.norm.cdf(x, scale=sd)
+        return lambda x: ndtr(x / sd)
     return lambda x: (np.asarray(x) >= 0).astype(float)
 
 

@@ -58,9 +58,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dpocon
 
 from .costs import CostModel
 from .errors import (
@@ -136,6 +133,10 @@ def build_operators(
     first.  Raises ContractionViolated when S = I - K K^T (module docstring)
     is not numerically positive definite.
     """
+    from scipy.linalg import cho_factor
+    from scipy.linalg.blas import dsyrk
+    from scipy.linalg.lapack import dpocon
+
     if np.any(r.weights <= 0) or np.any(s.weights <= 0):
         raise ZeroMassAtom("plan derivative requires full support of both marginals")
     if m is not None and not m.bounded_x_variation:
@@ -209,6 +210,8 @@ def _neumann_solve(M: np.ndarray, rhs: np.ndarray, norm: float, tol: float = 1e-
 def _potential_corrections(ops: DerivativeOperators, hX: np.ndarray, hY: np.ndarray,
                            method: str = "direct"):
     """Solve the block system for (a, b) along the direction (hX, hY)."""
+    from scipy.linalg import cho_solve
+
     pi, w_r, w_s = ops.base.plan, ops.r.weights, ops.s.weights
     v = (hX / w_r) @ pi[:, 1:] / w_s[1:]  # BY hX
     if method == "direct":
@@ -297,6 +300,8 @@ def _functional_jacobians(ops: DerivativeOperators, fns):
     matches the tangent-space computation.  All rows of a table come from
     one adjoint solve with the stored factor (see the module docstring).
     """
+    from scipy.linalg import cho_solve
+
     pi, w_r, w_s = ops.base.plan, ops.r.weights, ops.s.weights
     work = np.empty_like(pi)
     gx = np.empty((len(fns), pi.shape[0]))

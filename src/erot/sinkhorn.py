@@ -463,12 +463,16 @@ def exact_ot_small(r: DiscreteMeasure, s: DiscreteMeasure, m: CostModel) -> OTSo
 
 @dataclass(frozen=True)
 class GapReport:
-    ot_value: float
+    ot: OTSolution  # the exact transport the gaps are measured from
     entropy_bound: float  # min of the marginal Shannon entropies
     lambdas: tuple
     erot_values: tuple
     sinkhorn_costs: tuple
     chain_holds: bool
+
+    @property
+    def ot_value(self) -> float:
+        return self.ot.value
 
     def to_dict(self) -> dict:
         return {
@@ -502,7 +506,7 @@ def vanishing_reg_gap(
             and sol.value - ot.value <= lam * H + slack
         )
     return GapReport(
-        ot_value=ot.value,
+        ot=ot,
         entropy_bound=H,
         lambdas=tuple(lam_sorted),
         erot_values=tuple(erots),

@@ -342,3 +342,89 @@ def test_import_leaves_stats_and_optimize_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("subcommand, extra, config, message", [
+    ("derivative-check", ["--lambda", "1", "--ts", "1e-2,x"], None,
+     "bad value for --ts: 1e-2,x"),
+    ("ot-exact", ["--lambdas", "1,x"], None, "bad value for --lambdas: 1,x"),
+    ("mc-clt", [], {"n": "abc", "replications": 2}, "bad value for 'n' in {config}: abc"),
+    ("vanishing-lambda", [], [50, 100], "experiment file {config} must hold a JSON object"),
+], ids=["ts", "lambdas", "config-n", "config-list"])
+def test_malformed_list_and_config_values_are_config_parse(
+        instance, capsys, subcommand, extra, config, message):
+    paths, tmp = instance
+    cfg = tmp / "cfg.json"
+    if config is not None:
+        cfg.write_text(json.dumps(config))
+        extra = [*extra, "--config", str(cfg)]
+    code = main([subcommand, *_base(paths, *extra, "--out", str(tmp / "x.json"))])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "ConfigParse", "message": message.format(config=cfg)}
+
+
+def _all_subcommands(paths, tmp):
+    """(subcommand, argv) running each of the eleven subcommands once."""
+    fns = tmp / "fns.json"
+    fns.write_text(json.dumps([np.eye(3).tolist()]))
+    mc = tmp / "mc_cfg.json"
+    mc.write_text(json.dumps({"statistic": "ValueCLT", "n": 100, "replications": 4, "seed": 1}))
+    vl = tmp / "vl_cfg.json"
+    vl.write_text(json.dumps({"sample_sizes": [50, 100], "replications": 2}))
+    extra = {
+        "solve": ["--lambda", "1"],
+        "divergence": ["--lambda", "1"],
+        "bounds": ["--lambda", "1"],
+        "check-conditions": ["--lambda", "1", "--theorem", "value"],
+        "variance": ["--lambda", "1"],
+        "plan-cov": ["--lambda", "1", "--functions", str(fns)],
+        "derivative-check": ["--lambda", "1", "--seed", "0"],
+        "bootstrap": ["--lambda", "1", "--n", "50", "--B", "4", "--seed", "2"],
+        "mc-clt": ["--config", str(mc)],
+        "vanishing-lambda": ["--config", str(vl)],
+        "ot-exact": ["--lambdas", "1,0.1"],
+    }
+    return [(sub, [sub, *_base(paths, *args, "--out", str(tmp / f"{sub}.json"))])
+            for sub, args in extra.items()]
+
+
+def test_every_output_is_canonical_indented_json(instance):
+    # the writer's format on real payloads, checked against json itself
+    paths, tmp = instance
+    calls = _all_subcommands(paths, tmp)
+    assert len(calls) == 11
+    for sub, argv in calls:
+        assert main(argv) == 0, sub
+        for path in (tmp / f"{sub}.json", tmp / f"{sub}.manifest.json"):
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2) + "\n", path.name
+
+
+def test_start_up_loads_only_the_scipy_modules_a_subcommand_uses(instance):
+    # scipy.linalg serves only the derivative layer and scipy.stats only the
+    # two-sample KS reference; neither loads with the package or the CLI
+    paths, tmp = instance
+    argvs = {sub: argv for sub, argv in _all_subcommands(paths, tmp)}
+    src = str(Path(erot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = """
+import json, sys
+MODULES = ("scipy.linalg", "scipy.special", "scipy.sparse", "scipy.stats", "scipy.optimize")
+loaded = lambda: [m for m in MODULES if m in sys.modules]
+argvs = json.loads(sys.argv[1])
+import erot
+seen = {"erot": loaded()}
+import erot.cli
+seen["erot.cli"] = loaded()
+for sub in ("solve", "divergence", "bounds", "check-conditions", "bootstrap"):
+    assert erot.cli.main(argvs[sub]) == 0, sub
+seen["five"] = "scipy.linalg" in sys.modules
+assert erot.cli.main(argvs["mc-clt"]) == 0
+seen["mc-clt"] = "scipy.stats" in sys.modules
+print(json.dumps(seen))
+"""
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen == {"erot": [], "erot.cli": [], "five": False, "mc-clt": False}

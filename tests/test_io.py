@@ -8,6 +8,41 @@ from erot import io
 from erot.errors import ConfigParse
 
 
+def _ref(obj):
+    """Reference converter for the writer: arrays to lists, numpy scalars to
+    Python scalars, tuples to lists; json.dumps(indent=2) does the rest."""
+    if isinstance(obj, np.ndarray):
+        return _ref(obj.tolist())
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, dict):
+        return {k: _ref(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_ref(v) for v in obj]
+    return obj
+
+
+WRITER_CASES = {
+    "arrays": {"vector": np.linspace(-1.0, 1.0, 7) / 3,
+               "matrix": np.random.default_rng(0).standard_normal((3, 4)),
+               "ints": np.arange(4)},
+    "triplets": {"plan": [[0, 1, 0.25], [2, 0, 1e-300], [1, 1, 0.5]]},
+    "empty": {"list": [], "dict": {}, "rows": [[], [1.0]], "table": np.zeros((2, 0)),
+              "no_rows": np.zeros((0, 3))},
+    "non_finite": [float("nan"), float("inf"), -float("inf"), -0.0,
+                   [np.nan, -0.0], np.array([[np.inf, -0.0]])],
+    "numpy_scalars": {"f32": np.float32(0.1), "i64": np.int64(-7), "b": np.bool_(True),
+                      "in_list": [np.float32(1.5), np.int64(3), np.bool_(False), 2.0],
+                      "in_rows": [[np.float32(0.1), 1], [np.int64(2), 3.0]]},
+    "tuples_none": {"t": (1, 2.5, None), "pairs": ((1, 2), (3, 4)), "none": None,
+                    "bools": [True, False, 1, 0.5]},
+    "strings": ["a, b", "x], [y", "h\u00e9llo \u2713 \u221e", {"k, ]": "], ["}, [["], [", 1]]],
+    "keys": {1: "one", 2.5: [1, 2], False: None, None: {}, "s": 0},
+    "nesting": [1, [2, 3], [[4.0]], {"x": [True, 1]}, [[[1.0, 2.0]], [[3.0]]]],
+    "scalar": 0.1,
+}
+
+
 class TestJSON:
     def test_round_trip_types(self, tmp_path):
         payload = {
@@ -31,6 +66,13 @@ class TestJSON:
         p = tmp_path / "f.json"
         io.dump_json({"x": x}, p)
         assert json.loads(p.read_text())["x"] == x
+
+    @pytest.mark.parametrize("name", sorted(WRITER_CASES))
+    def test_dump_json_matches_json_indent(self, tmp_path, name):
+        payload = WRITER_CASES[name]
+        p = tmp_path / "w.json"
+        io.dump_json(payload, p)
+        assert p.read_text() == json.dumps(_ref(payload), indent=2) + "\n"
 
     def test_load_bad_json(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -102,6 +144,20 @@ class TestArtifacts:
         lines = p.read_text().strip().splitlines()
         assert lines[0] == "replication,draw"
         assert lines[1].startswith("0,") and lines[2].startswith("1,")
+
+    @pytest.mark.parametrize("n, sigma2", [(1, 1.0), (7, 0.37 ** 2), (500, 2.5e-7 ** 2),
+                                           (1001, 13.0 ** 2)])
+    def test_qq_csv_bitwise_against_scipy_stats(self, tmp_path, n, sigma2):
+        from scipy import stats
+
+        draws = np.random.default_rng(n).normal(0.0, 1.0, n)
+        p = tmp_path / "qq.csv"
+        io.write_qq_csv(draws, sigma2, p)
+        probs = (np.arange(1, n + 1) - 0.5) / n
+        theo = stats.norm.ppf(probs, scale=np.sqrt(sigma2))
+        want = ["theoretical,empirical"] + [
+            f"{t:.17g},{e:.17g}" for t, e in zip(theo, np.sort(draws))]
+        assert p.read_text() == "\n".join(want) + "\n"
 
     def test_qq_csv_quantiles(self, tmp_path):
         rng = np.random.default_rng(0)

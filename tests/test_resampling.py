@@ -11,6 +11,7 @@ from erot.resampling import (
     PLAN_FUNCTIONAL_CLT,
     VALUE_CLT,
     ExperimentConfig,
+    _normal_or_degenerate_cdf,
     bootstrap_plan_functional,
     bootstrap_value,
     ks_statistic,
@@ -46,6 +47,15 @@ class TestKSStatistic:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             ks_statistic(np.empty(0), stats.norm.cdf)
+
+    @pytest.mark.parametrize("sd", [1.0, 0.37, 2.5e-7, 13.0])
+    def test_normal_reference_bitwise_against_scipy_stats(self, sd):
+        x = np.random.default_rng(3).standard_normal(100_000) * 3 * sd
+        x = np.concatenate([x, [0.0, -0.0, np.inf, -np.inf, 1e300, -5e-324]])
+        sigma2 = sd * sd
+        got = _normal_or_degenerate_cdf(sigma2)(x)
+        want = stats.norm.cdf(x, scale=np.sqrt(sigma2))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestBootstrap:

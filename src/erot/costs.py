@@ -127,6 +127,11 @@ class CostModel:
             and np.allclose(self.cost, self.cost.T, atol=1e-12)
         )
 
+    @cached_property
+    def cost_range(self) -> tuple[float, float]:
+        # (min, max) of the table, computed on first read like is_symmetric
+        return float(self.cost.min()), float(self.cost.max())
+
 
 @dataclass(frozen=True)
 class WeightProfile:

@@ -87,20 +87,29 @@ def sha256_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _parse_tail(spec) -> TailFamily:
+# the parameters of each tail family, as keys of the measure file's "tail"
+_TAIL_PARAMS = {"geometric": ("q",), "polynomial": ("a",),
+                "subweibull": ("gamma", "theta"), "finite": ()}
+
+
+def _parse_tail(spec, path) -> TailFamily:
     if spec is None:
         return FINITE_TAIL
+    if not isinstance(spec, dict):
+        raise ConfigParse(f"'tail' in measure file {path} must be an object with 'kind'")
     kind = spec.get("kind")
-    if kind == "geometric":
-        return TailFamily(kind="geometric", q=float(spec["q"]))
-    if kind == "polynomial":
-        return TailFamily(kind="polynomial", a=float(spec["a"]))
-    if kind == "subweibull":
-        return TailFamily(kind="subweibull", gamma=float(spec["gamma"]),
-                          theta=float(spec["theta"]))
-    if kind == "finite":
-        return FINITE_TAIL
-    raise ConfigParse(f"unknown tail family {kind!r}")
+    if not isinstance(kind, str) or kind not in _TAIL_PARAMS:
+        raise ConfigParse(f"unknown tail family {kind!r} in measure file {path}")
+    params = {}
+    for key in _TAIL_PARAMS[kind]:
+        if key not in spec:
+            raise ConfigParse(f"{kind} tail in measure file {path} needs '{key}'")
+        try:
+            params[key] = float(spec[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigParse(
+                f"bad value for tail '{key}' in measure file {path}: {spec[key]}") from exc
+    return TailFamily(kind=kind, **params) if params else FINITE_TAIL
 
 
 def load_measure(path) -> DiscreteMeasure:
@@ -118,7 +127,7 @@ def load_measure(path) -> DiscreteMeasure:
     elif all(isinstance(l, (int, float)) for l in labels):
         coords = np.asarray(labels, dtype=float)[:, None]
     space = IndexedSpace(labels=labels, coords=coords)
-    return validate_measure(weights, space, tail=_parse_tail(raw.get("tail")))
+    return validate_measure(weights, space, tail=_parse_tail(raw.get("tail"), path))
 
 
 def load_cost(path, space_X: IndexedSpace, space_Y: IndexedSpace, lam: float):

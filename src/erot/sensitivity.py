@@ -150,11 +150,12 @@ def build_operators(
                                np.max(np.abs(cols - w_s) / w_s)))
     # AX AY >= 0 entrywise, so its infinity norm is the largest entry of AX (AY 1)
     norm = float(np.max(pi[:, 1:] @ (cols[1:] / w_s[1:]) / w_r))
-    # K in the column-major layout syrk reads fastest
-    K = np.empty((pi.shape[0], pi.shape[1] - 1), order="F")
-    np.divide(pi[:, 1:], np.sqrt(w_r)[:, None], out=K)
+    # K in the plan's row-major layout; K.T is then column-major, the layout
+    # BLAS takes without a copy, and syrk with trans=1 forms (K.T)^T K.T = K K^T
+    K = np.divide(pi[:, 1:], np.sqrt(w_r)[:, None])
     K /= np.sqrt(w_s[1:])
-    S = dsyrk(-1.0, K, beta=1.0, c=np.eye(K.shape[0], order="F"), lower=1, overwrite_c=1)
+    S = dsyrk(-1.0, K.T, beta=1.0, c=np.eye(K.shape[0], order="F"), trans=1, lower=1,
+              overwrite_c=1)
     try:
         cho = cho_factor(S, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError:
@@ -303,13 +304,9 @@ def _functional_jacobians(ops: DerivativeOperators, fns):
     from scipy.linalg import cho_solve
 
     pi, w_r, w_s = ops.base.plan, ops.r.weights, ops.s.weights
-    work = np.empty_like(pi)
-    gx = np.empty((len(fns), pi.shape[0]))
-    gy = np.empty((len(fns), pi.shape[1]))
-    for k, f in enumerate(fns):
-        np.multiply(f, pi, out=work)
-        work.sum(axis=1, out=gx[k])
-        work.sum(axis=0, out=gy[k])
+    # the row and column sums of f . pi, without an n x n temporary
+    gx = np.array([np.einsum("ij,ij->i", f, pi) for f in fns])
+    gy = np.array([np.einsum("ij,ij->j", f, pi) for f in fns])
     sqrt_r = np.sqrt(w_r)
     # P^T = D_r^{1/2} S^{-1} D_r^{-1/2} (gx - gy AY)^T
     rhs = gx - (gy[:, 1:] / w_s[1:]) @ pi[:, 1:].T

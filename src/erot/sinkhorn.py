@@ -13,17 +13,24 @@ for beta, the column) maximum, exponentiates, sums and takes the log there.
 The workspace is allocated once per `solve` call and never shared between
 calls, so threaded callers stay bit-reproducible.
 
-Only the first beta and alpha updates are sweeps.  The alpha sweep leaves
-the max-shifted exponentials in the workspace; divided by their row sums
-they are the kernel K = exp((alpha + beta - c)/lam) s with the potentials
-absorbed.  The iterates are then alpha + lam log u and beta + lam log v, and
-each iteration is two matrix-vector products, u = 1/(K v) and
-v' = s/((r u)^T K) (scaling form of Schmitzer, arXiv:1610.06519).  When a
-scaling vector leaves [1/SCALING_BOUND, SCALING_BOUND], that half-step is
-taken as a sweep instead, which absorbs the scalings into the potentials and
-rebuilds K.  The iterates are mathematically those of the log-domain
-updates, whatever the bound.  The final plan u K v r is built in the
-workspace, and at full support the cost table is used without a copy.
+A cold start builds the Gibbs kernel K = exp((min c - c)/lam) s with one exp
+pass, the potentials alpha = 0 and beta = min c absorbed in it, and takes
+the first half-steps v = s/(r^T K), u = 1/(K v) as products; that is the
+state the opening sweeps would leave.  It applies when
+(max c - min c)/lam <= log(SCALING_BOUND), over the whole cost table, so no
+kernel entry is below s/SCALING_BOUND.  Otherwise, after a warm start, or
+when u or v leaves the scaling range, the first beta and alpha updates are
+sweeps: the alpha sweep leaves the max-shifted exponentials in the
+workspace, and divided by their row sums they are the kernel
+K = exp((alpha + beta - c)/lam) s, with u = v = 1.  Either way the iterates
+are then alpha + lam log u and beta + lam log v, and each iteration is two
+matrix-vector products, u = 1/(K v) and v' = s/((r u)^T K) (scaling form of
+Schmitzer, arXiv:1610.06519).  When a scaling vector leaves
+[1/SCALING_BOUND, SCALING_BOUND], that half-step is taken as a sweep
+instead, which absorbs the scalings into the potentials and rebuilds K.  The
+iterates are mathematically those of the log-domain updates, whatever the
+bound.  The final plan u K v r is built in the workspace, and at full
+support the cost table is used without a copy.
 
 Also provides the Sinkhorn divergence, quantitative potential/plan bounds,
 an exact unregularized transport oracle for small instances, and the
@@ -141,6 +148,31 @@ def _alpha_kernel(log_s: np.ndarray, beta: np.ndarray, cost: np.ndarray, lam: fl
     return alpha, np.ones(cost.shape[0]), np.ones(cost.shape[1])
 
 
+def _gibbs_start(rr: np.ndarray, ss: np.ndarray, cost: np.ndarray, c_min: float,
+                 lam: float, work: np.ndarray):
+    """Cold start from the Gibbs kernel K = exp((c_min - c)/lam) s, built in
+    `work` with one exp pass: alpha = 0 and beta = c_min are absorbed in it.
+
+    Takes the first half-steps v = s/(r^T K) and u = 1/(K v), which leave the
+    state of the two opening sweeps.  The caller ensures the kernel's entries
+    are at least s / SCALING_BOUND.  Returns alpha, beta, u and v, or None
+    when u or v leaves the scaling range.
+    """
+    np.subtract(c_min, cost, out=work)
+    work /= lam
+    np.exp(work, out=work)
+    work *= ss
+    if ss.min() < np.finfo(float).tiny * SCALING_BOUND:
+        _drop_subnormals(work)
+    # a column of dropped entries makes v infinite, which the range check catches
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = ss / (rr @ work)
+        u = 1.0 / (work @ v)
+    if not (_in_scaling_range(v) and _in_scaling_range(u)):
+        return None
+    return np.zeros(rr.size), np.full(ss.size, c_min), u, v
+
+
 def solve(
     r: DiscreteMeasure,
     s: DiscreteMeasure,
@@ -169,14 +201,23 @@ def solve(
     # in it, and at full support it becomes the returned plan
     work = np.empty(c.shape)
 
-    if warm_start is not None:
-        alpha = np.asarray(warm_start[0], dtype=float)[ix]
-    else:
-        alpha = np.zeros(ix.size)
-    beta = _log_update(log_r, alpha, c, lam, 0, work)
     # the iterates are alpha + lam*log(u) and beta + lam*log(v) over the
     # kernel K = exp((alpha + beta - c)/lam) s held in `work`
-    alpha, u, v = _alpha_kernel(log_s, beta, c, lam, work)
+    start = None
+    if warm_start is None:
+        # the full table's range bounds the support's
+        c_min, c_max = m.cost_range
+        if c_max - c_min <= lam * np.log(SCALING_BOUND):
+            start = _gibbs_start(rr, ss, c, c_min, lam, work)
+    if start is not None:
+        alpha, beta, u, v = start
+    else:
+        if warm_start is not None:
+            alpha = np.asarray(warm_start[0], dtype=float)[ix]
+        else:
+            alpha = np.zeros(ix.size)
+        beta = _log_update(log_r, alpha, c, lam, 0, work)
+        alpha, u, v = _alpha_kernel(log_s, beta, c, lam, work)
     residual = np.inf
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):

@@ -364,6 +364,26 @@ def test_malformed_list_and_config_values_are_config_parse(
     assert err == {"error": "ConfigParse", "message": message.format(config=cfg)}
 
 
+@pytest.mark.parametrize("tail, message", [
+    ("geometric", "'tail' in measure file {path} must be an object with 'kind'"),
+    ({"kind": "geometric"}, "geometric tail in measure file {path} needs 'q'"),
+    ({"kind": "subweibull", "gamma": 1.0}, "subweibull tail in measure file {path} needs 'theta'"),
+    ({"kind": "polynomial", "a": "heavy"}, "bad value for tail 'a' in measure file {path}: heavy"),
+    ({"kind": "geometric", "q": None}, "bad value for tail 'q' in measure file {path}: None"),
+    ({"kind": ["geometric"]}, "unknown tail family ['geometric'] in measure file {path}"),
+], ids=["string", "missing-q", "missing-theta", "non-numeric-a", "null-q", "list-kind"])
+def test_malformed_tail_is_config_parse(instance, capsys, tail, message):
+    paths, tmp = instance
+    bad = tmp / "r_tail.json"
+    bad.write_text(json.dumps({"labels": ["a0", "a1", "a2"], "weights": [0.2, 0.3, 0.5],
+                               "coords": [0.0, 1.0, 2.0], "tail": tail}))
+    code = main(["solve", *_base({**paths, "r": str(bad)}, "--lambda", "1",
+                                 "--out", str(tmp / "t.json"))])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "ConfigParse", "message": message.format(path=bad)}
+
+
 def _all_subcommands(paths, tmp):
     """(subcommand, argv) running each of the eleven subcommands once."""
     fns = tmp / "fns.json"

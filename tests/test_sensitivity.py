@@ -230,6 +230,29 @@ class TestCovariances:
         assert divergence_variance(pm, s, m, 1.0) == pytest.approx(0.0, abs=1e-10)
         assert divergence_variance(r, s, m, 1.0) > 1e-8
 
+    @pytest.mark.parametrize("mode, delta", [(ONE_SAMPLE_R, None),
+                                             (ONE_SAMPLE_S, None),
+                                             (TWO_SAMPLE, 0.3)])
+    def test_divergence_statistics_equal_the_three_solve_formulas(self, mode, delta):
+        # the divergence and its variance are exactly what the full solutions
+        # at (r, s), (r, r) and (s, s) give
+        rng = np.random.default_rng(23)
+        sp = erot.integer_grid(40)
+        r = erot.validate_measure(rng.dirichlet(np.ones(40)), sp)
+        s = erot.validate_measure(rng.dirichlet(np.ones(40)), sp)
+        a = rng.uniform(0, 2, (40, 40))
+        m, _ = erot.build_cost({"family": "bounded", "cost": 0.5 * (a + a.T)}, sp, sp, 0.5)
+        rs, rr, ss = (erot.solve(x, y, m, 0.5) for x, y in ((r, s), (r, r), (s, s)))
+
+        def var(w, g):
+            return float(max(0.0, (g - g @ w) ** 2 @ w))
+
+        expected = erot.Design.of(mode, delta).combine(
+            lambda: var(r.weights, rs.alpha - rr.alpha),
+            lambda: var(s.weights, rs.beta - ss.beta))
+        assert divergence_variance(r, s, m, 0.5, mode, delta) == expected
+        assert erot.sinkhorn_divergence(r, s, m, 0.5) == rs.value - 0.5 * (rr.value + ss.value)
+
     def test_functional_covariance_structure(self):
         r, s, m, sol = _instance(12)
         ops = build_operators(sol, r, s, m)

@@ -301,6 +301,69 @@ class TestScalingLoop:
         assert sweeps[0] > 1 and sweeps[1] > 1
         _assert_matches_oracle(sol, _oracle_solve(r, r, m, 1.0))
 
+    @staticmethod
+    def _counted_solve(monkeypatch, r, s, m, lam):
+        """solve(r, s, m, lam) and the number of log-domain sweeps it ran."""
+        sweeps = []
+        sweep = erot.sinkhorn._log_update
+
+        def counted(log_w, pot, cost, lam, axis, work):
+            sweeps.append(axis)
+            return sweep(log_w, pot, cost, lam, axis, work)
+
+        monkeypatch.setattr(erot.sinkhorn, "_log_update", counted)
+        return erot.solve(r, s, m, lam), sweeps
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
+    def test_cold_start_within_range_runs_no_sweep(self, monkeypatch, lam):
+        # cost range 2 at most: (max c - min c)/lam <= log(SCALING_BOUND), so
+        # the kernel comes from one exp pass of the cost
+        r, s, m = _random_instance(np.random.default_rng(71), 300, 290)
+        sol, sweeps = self._counted_solve(monkeypatch, r, s, m, lam)
+        assert sweeps == []
+        _assert_matches_oracle(sol, _oracle_solve(r, s, m, lam))
+
+    def test_cold_start_past_range_runs_the_two_opening_sweeps(self, monkeypatch):
+        # one cost entry puts the range just past the rule, by 1 at lam = 1
+        rng = np.random.default_rng(72)
+        sp = erot.integer_grid(300)
+        r = erot.validate_measure(rng.dirichlet(np.ones(300)), sp)
+        s = erot.validate_measure(rng.dirichlet(np.ones(300)), sp)
+        cost = rng.uniform(0.0, 2.0, (300, 300))
+        cost[7, 11] = cost.min() + math.log(erot.sinkhorn.SCALING_BOUND) + 1.0
+        m, _ = erot.build_cost({"family": "custom", "cost": cost}, sp, sp, 1.0)
+        sol, sweeps = self._counted_solve(monkeypatch, r, s, m, 1.0)
+        assert sweeps == [0, 1]  # the beta sweep, then the alpha sweep
+        _assert_matches_oracle(sol, _oracle_solve(r, s, m, 1.0))
+
+    def test_cold_start_out_of_scaling_range_falls_back_to_the_sweeps(self, monkeypatch):
+        # the range meets the rule, but one target atom weighs 1e-290 and its
+        # column costs at least 50 over the minimum: its Gibbs-kernel entries
+        # are subnormal and dropped, so v is infinite there and the start
+        # falls back to the two opening sweeps in the overwritten workspace
+        rng = np.random.default_rng(73)
+        sp = erot.integer_grid(300)
+        r = erot.validate_measure(rng.dirichlet(np.ones(300)), sp)
+        w_s = rng.dirichlet(np.ones(300))
+        w_s[11] = 1e-290
+        s = erot.validate_measure(w_s / w_s.sum(), sp)
+        cost = rng.uniform(0.0, 2.0, (300, 300))
+        cost[:, 11] = rng.uniform(50.0, 60.0, 300)
+        assert cost.max() - cost.min() <= math.log(erot.sinkhorn.SCALING_BOUND)
+        m, _ = erot.build_cost({"family": "custom", "cost": cost}, sp, sp, 1.0)
+        starts = []
+        gibbs_start = erot.sinkhorn._gibbs_start
+
+        def recorded(*args):
+            starts.append(gibbs_start(*args))
+            return starts[-1]
+
+        monkeypatch.setattr(erot.sinkhorn, "_gibbs_start", recorded)
+        sol, sweeps = self._counted_solve(monkeypatch, r, s, m, 1.0)
+        assert starts == [None]
+        assert sweeps == [0, 1]
+        _assert_matches_oracle(sol, _oracle_solve(r, s, m, 1.0))
+
 
 class TestMutualInformation:
     def test_product_plan_zero(self):

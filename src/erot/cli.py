@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 import time
@@ -334,7 +335,8 @@ def _cmd_vanishing_lambda(a):
     a.seed = _entry(cfg_raw, "seed", int, a.seed, a.config)
     report = vanishing_lambda_experiment(
         r, s, model,
-        sample_sizes=tuple(cfg_raw.get("sample_sizes", (500, 2000, 8000))),
+        sample_sizes=_entry(cfg_raw, "sample_sizes", lambda v: tuple(map(operator.index, v)),
+                            (500, 2000, 8000), a.config),
         lambda_coef=_entry(cfg_raw, "lambda_coef", float, 1.0, a.config),
         lambda_exponent=_entry(cfg_raw, "lambda_exponent", float, -0.6, a.config),
         replications=_entry(cfg_raw, "replications", int, 200, a.config),

@@ -1,21 +1,21 @@
 """Bootstrap and Monte Carlo experiments for the EROT limit theorems.
 
-Every experiment is bit-reproducible under a fixed seed and independent of
-the worker count: per-replication generators are spawned up front from a
-single seed sequence and results are aggregated by replication index.
+A replication is one count draw, n r_hat ~ Multinomial(n, r) (for a bootstrap
+resample n r* ~ Multinomial(n, r_hat)), and one warm-started solve.  Replications
+run in order on generators spawned from one seed sequence, so every experiment
+is bit-reproducible under a fixed seed; ``threads`` parameters affect nothing.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .costs import CostModel, ConditionReport
-from .errors import EmptyInput, NonUniquePotentials
+from .errors import ConfigParse, EmptyInput, NonUniquePotentials
 from .measures import Design, DiscreteMeasure, empirical_measure
 from .sinkhorn import SolveConfig, exact_ot_small, sinkhorn_divergence, solve
 from .sensitivity import (
@@ -30,6 +30,7 @@ VALUE_CLT = "ValueCLT"
 SINKHORN_COST_CLT = "SinkhornCostCLT"
 DIVERGENCE_CLT = "DivergenceCLT"
 PLAN_FUNCTIONAL_CLT = "PlanFunctionalCLT"
+STATISTICS = (VALUE_CLT, SINKHORN_COST_CLT, DIVERGENCE_CLT, PLAN_FUNCTIONAL_CLT)
 
 
 @dataclass(frozen=True)
@@ -41,14 +42,16 @@ class ExperimentConfig:
     lam: float = 1.0
     seed: int = 0
     f: np.ndarray | None = None  # test table for PlanFunctionalCLT
-    threads: int = 1
+    threads: int = 1  # recorded only: replications run in order on one thread
     solve_cfg: SolveConfig = field(default_factory=SolveConfig)
 
     def __post_init__(self):
+        if self.statistic not in STATISTICS:
+            raise ConfigParse(f"unknown statistic {self.statistic!r}")
         if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+            raise ConfigParse("replications must be >= 1")
         if self.n < 2 or (self.m is not None and self.m < 2):
-            raise ValueError("sample sizes must be >= 2")
+            raise ConfigParse("sample sizes must be >= 2")
 
     @property
     def delta(self) -> float | None:
@@ -117,20 +120,15 @@ def _normal_or_degenerate_cdf(sigma2: float):
     return lambda x: (np.asarray(x) >= 0).astype(float)
 
 
-def _run_replications(fn, replications: int, seed, threads: int) -> np.ndarray:
+def _run_replications(fn, replications: int, seed) -> np.ndarray:
     """fn(rng) on each replication's own generator, in replication order:
     shape (R,) for a scalar statistic, (R, k) for a k-vector."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rngs = [np.random.default_rng(s) for s in ss.spawn(replications)]
-    if threads <= 1:
-        return np.array([fn(rng) for rng in rngs], dtype=float)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.array(list(pool.map(fn, rngs)), dtype=float)
+    return np.array([fn(np.random.default_rng(s)) for s in ss.spawn(replications)], dtype=float)
 
 
 def _sample_from(measure: DiscreteMeasure, n: int, rng) -> DiscreteMeasure:
-    idx = rng.choice(measure.space.size, size=n, p=measure.weights)
-    return empirical_measure(idx, measure.space)
+    return DiscreteMeasure(measure.space, rng.multinomial(n, measure.weights) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -141,37 +139,35 @@ def bootstrap_value(sample, s: DiscreteMeasure, m: CostModel, lam: float,
                     B: int, seed, space=None, threads: int = 1,
                     cfg: SolveConfig = SolveConfig()) -> np.ndarray:
     """n-out-of-n bootstrap draws sqrt(n)(EROT(r*, s) - EROT(r_hat, s)) from a
-    sample of atom indices of the X space."""
-    return _bootstrap(sample, s, m, lam, B, seed, space, threads, cfg, f=None)
+    sample of atom indices of the X space; `threads` affects nothing."""
+    return _bootstrap(sample, s, m, lam, B, seed, space, cfg, f=None)
 
 
 def bootstrap_plan_functional(sample, s: DiscreteMeasure, m: CostModel, lam: float,
                               f: np.ndarray, B: int, seed, space=None,
                               threads: int = 1,
                               cfg: SolveConfig = SolveConfig()) -> np.ndarray:
-    """Bootstrap draws of sqrt(n)(<f, plan(r*, s)> - <f, plan(r_hat, s)>)."""
-    return _bootstrap(sample, s, m, lam, B, seed, space, threads, cfg, f=np.asarray(f, float))
+    """Bootstrap draws of sqrt(n)(<f, plan(r*, s)> - <f, plan(r_hat, s)>);
+    `threads` affects nothing."""
+    return _bootstrap(sample, s, m, lam, B, seed, space, cfg, f=np.asarray(f, float))
 
 
-def _bootstrap(sample, s, m, lam, B, seed, space, threads, cfg, f):
+def _bootstrap(sample, s, m, lam, B, seed, space, cfg, f):
     if B < 1:
         raise ValueError("B must be >= 1")
     sample = np.asarray(sample, dtype=int)
-    space = space or m.space_X
-    r_hat = empirical_measure(sample, space)
+    r_hat = empirical_measure(sample, space or m.space_X)
     base = solve(r_hat, s, m, lam, cfg)
     base_stat = base.value if f is None else float(np.sum(f * base.plan))
     n = sample.size
     warm = (base.alpha, base.beta)
 
     def one(rng):
-        resampled = sample[rng.integers(0, n, size=n)]
-        r_star = empirical_measure(resampled, space)
-        sol = solve(r_star, s, m, lam, cfg, warm_start=warm)
+        sol = solve(_sample_from(r_hat, n, rng), s, m, lam, cfg, warm_start=warm)
         stat = sol.value if f is None else float(np.sum(f * sol.plan))
         return np.sqrt(n) * (stat - base_stat)
 
-    return _run_replications(one, B, seed, threads)
+    return _run_replications(one, B, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +191,7 @@ def mc_clt_experiment(r: DiscreteMeasure, s: DiscreteMeasure, m: CostModel,
     warm = (pop.alpha, pop.beta)
 
     def from_solution(read):
-        """(pop_stat, stat_of) for a statistic read off the solution; the
-        replications re-solve warm-started from the population potentials."""
+        """(pop_stat, stat_of) for a statistic read off a solve warm-started from pop."""
         return read(pop), lambda r_hat, s_hat: read(
             solve(r_hat, s_hat, m, lam, solve_cfg, warm_start=warm))
 
@@ -215,24 +210,20 @@ def mc_clt_experiment(r: DiscreteMeasure, s: DiscreteMeasure, m: CostModel,
         ops = build_operators(pop, r, s, m)
         target = float(functional_covariance(ops, r, s, [f], design)[0, 0])
         pop_stat, stat_of = from_solution(lambda sol: float(np.sum(f * sol.plan)))
-    elif cfg.statistic == DIVERGENCE_CLT:
+    else:  # DIVERGENCE_CLT, the last one ExperimentConfig admits
         target = divergence_variance(r, s, m, lam, design, cfg=solve_cfg)
 
         def stat_of(r_hat, s_hat):
             return sinkhorn_divergence(r_hat, s_hat, m, lam, solve_cfg)
 
         pop_stat = stat_of(r, s)
-    else:
-        raise ValueError(f"unknown statistic {cfg.statistic!r}")
-
-    rate = cfg.rate
 
     def one(rng):
         r_hat = _sample_from(r, cfg.n, rng)
         s_hat = _sample_from(s, cfg.m, rng) if design.w_s else s
-        return rate * (stat_of(r_hat, s_hat) - pop_stat)
+        return cfg.rate * (stat_of(r_hat, s_hat) - pop_stat)
 
-    draws = _run_replications(one, cfg.replications, cfg.seed, cfg.threads)
+    draws = _run_replications(one, cfg.replications, cfg.seed)
     ks = ks_statistic(draws, _normal_or_degenerate_cdf(target))
     return MCReport(
         standardized_draws=draws,
@@ -282,8 +273,14 @@ def vanishing_lambda_experiment(
     For each n the plug-in variance Var_{r_hat}[alpha^{lam_n}(r_hat, s)] is
     averaged over replications and compared to Var_r[alpha0] from the exact
     transport oracle; the standardized value statistic at the largest n is
-    compared to N(0, Var_r[alpha0]).
+    compared to N(0, Var_r[alpha0]).  Each replication warm-starts from the
+    population solved at lam_n, itself warm-started from the exact
+    potentials.  `threads` affects nothing.
     """
+    if len(sample_sizes) == 0 or min(sample_sizes) < 2:
+        raise ConfigParse("sample_sizes must be a non-empty list of sizes >= 2")
+    if replications < 1:
+        raise ConfigParse("replications must be >= 1")
     start = time.perf_counter()
     ot = exact_ot_small(r, s, m)
     if not ot.unique_potentials:
@@ -295,20 +292,19 @@ def vanishing_lambda_experiment(
     )
     lambdas = [lambda_coef * n**lambda_exponent for n in sample_sizes]
     trace = []
-    last_draws = None
     size_seeds = np.random.SeedSequence(seed).spawn(len(sample_sizes))
     for n, lam, size_seed in zip(sample_sizes, lambdas, size_seeds):
+        pop = solve(r, s, m, lam, cfg, warm_start=(ot.alpha0, ot.beta0))
 
-        def one(rng, n=n, lam=lam):
+        def one(rng, n=n, lam=lam, warm=(pop.alpha, pop.beta)):
             """(plug-in variance Var_{r_hat}[alpha], standardized value draw)"""
             r_hat = _sample_from(r, n, rng)
-            ot_hat = exact_ot_small(r_hat, s, m)
-            sol = solve(r_hat, s, m, lam, cfg, warm_start=(ot_hat.alpha0, ot_hat.beta0))
+            sol = solve(r_hat, s, m, lam, cfg, warm_start=warm)
             mean = sol.alpha @ r_hat.weights
             var_hat = float((sol.alpha - mean) ** 2 @ r_hat.weights)
             return var_hat, np.sqrt(n) * (sol.value - ot.value)
 
-        var_hats, last_draws = _run_replications(one, replications, size_seed, threads).T
+        var_hats, last_draws = _run_replications(one, replications, size_seed).T
         trace.append(abs(float(var_hats.mean()) - var0))
 
     ks = ks_statistic(last_draws, _normal_or_degenerate_cdf(var0))

@@ -185,7 +185,8 @@ def solve(
 
     The fixed point is solved on supp(r) x supp(s); potentials on zero-mass
     atoms are back-filled from the converged ones.  The returned plan has
-    exact row marginals and column marginals within the l1 tolerance.
+    exact row marginals and column marginals within the l1 tolerance.  Of a
+    warm start (alpha, beta) only warm_start[0], alpha, is read.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")

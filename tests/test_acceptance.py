@@ -17,24 +17,23 @@ this instance run at REF_VALUE_N = 2e5 (value CLT and bootstrap; lightest
 expected count 48) and REF_COST_N = 5e5 (Sinkhorn cost; 120).  Below these
 sizes the second-order terms of the plug-in statistics dominate.  Measured
 with the tests' seeds and 2000 replications:
-  * Value CLT at n = 2e3 / 2e4 / 2e5: KS 0.157 / 0.055 / 0.028,
-    standardized mean shift 0.49 / 0.16 / 0.09, variance ratio
-    1.13 / 1.01 / 1.01.  The plug-in value is convex in the empirical
+  * Value CLT at n = 2e3 / 2e4 / 2e5: KS 0.137 / 0.055 / 0.027,
+    standardized mean shift 0.47 / 0.17 / 0.06, variance ratio
+    1.12 / 1.02 / 0.99.  The plug-in value is convex in the empirical
     weights, so the mean shift is about tr(H S)/(2 sqrt(n) sigma) (H the
     value Hessian, S the multinomial covariance) and falls like 1/sqrt(n).
-  * Sinkhorn cost at n = 5e3 / 5e4 / 5e5: MC variance 0.059 / 0.018 /
-    0.0131 against the target 0.0129 (ratio 4.57 / 1.405 / 1.017),
-    standardized mean shift 2.77 / 0.96 / 0.29.  The variance excess falls
+  * Sinkhorn cost at n = 5e3 / 5e4 / 5e5: MC variance 0.057 / 0.019 /
+    0.0138 against the target 0.0129 (ratio 4.40 / 1.469 / 1.073),
+    standardized mean shift 2.72 / 0.94 / 0.27.  The variance excess falls
     like 1/n, as the delta method's second-order remainder does.  The
     plug-in target itself is pinned by an independent finite-difference
     gradient oracle (test_plugin_variance_against_fd_oracle).
-  * Bootstrap against the value-CLT draws: KS 0.109 at n = 2e3 and 0.027
+  * Bootstrap against the value-CLT draws: KS 0.084 at n = 2e3 and 0.031
     at n = 2e5.  The bootstrap variance inherits the drawn sample's
     empirical potential spread, which fluctuates by a factor of ~3 across
     samples of size 2e3.
-A replication draws n atom indices and runs one warm-started solve on
-their 21 counts, so the larger n adds only the drawing (about 9 ms at 2e5
-and 21 ms at 5e5) to each replication.
+A replication draws the 21 atom counts, n r_hat ~ Multinomial(n, r), and
+runs one warm-started solve on them, so its cost does not depend on n.
 Passing counterparts on light-tailed instances, whose atoms all have large
 expected counts at n = 2000 and 5000, check the same formulas at those
 sizes.

@@ -338,7 +338,8 @@ def test_import_leaves_stats_and_optimize_unloaded():
     src = str(Path(erot.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, erot.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+            "print([m for m in ('scipy.stats', 'scipy.optimize', 'concurrent.futures') "
+            "if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
@@ -350,7 +351,20 @@ def test_import_leaves_stats_and_optimize_unloaded():
     ("ot-exact", ["--lambdas", "1,x"], None, "bad value for --lambdas: 1,x"),
     ("mc-clt", [], {"n": "abc", "replications": 2}, "bad value for 'n' in {config}: abc"),
     ("vanishing-lambda", [], [50, 100], "experiment file {config} must hold a JSON object"),
-], ids=["ts", "lambdas", "config-n", "config-list"])
+    ("vanishing-lambda", [], {"sample_sizes": 100},
+     "bad value for 'sample_sizes' in {config}: 100"),
+    ("vanishing-lambda", [], {"sample_sizes": ["a"]},
+     "bad value for 'sample_sizes' in {config}: ['a']"),
+    ("vanishing-lambda", [], {"sample_sizes": [1.5]},
+     "bad value for 'sample_sizes' in {config}: [1.5]"),
+    ("vanishing-lambda", [], {"sample_sizes": [0]},
+     "sample_sizes must be a non-empty list of sizes >= 2"),
+    ("vanishing-lambda", [], {"sample_sizes": []},
+     "sample_sizes must be a non-empty list of sizes >= 2"),
+    ("vanishing-lambda", [], {"replications": 0}, "replications must be >= 1"),
+    ("mc-clt", [], {"statistic": "ValueCLTT"}, "unknown statistic 'ValueCLTT'"),
+], ids=["ts", "lambdas", "config-n", "config-list", "sizes-scalar", "sizes-string",
+        "sizes-float", "sizes-zero", "sizes-empty", "replications-zero", "statistic"])
 def test_malformed_list_and_config_values_are_config_parse(
         instance, capsys, subcommand, extra, config, message):
     paths, tmp = instance

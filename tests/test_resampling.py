@@ -201,3 +201,60 @@ class TestVanishingLambda:
         assert a.standardized_draws.shape == (7,)
         assert np.array_equal(a.standardized_draws, b.standardized_draws)
         assert a.variance_trace == b.variance_trace
+
+
+def _count_draw(measure, n, rng):
+    """The empirical measure of n observations from `measure`, as counts."""
+    return erot.DiscreteMeasure(measure.space, rng.multinomial(n, measure.weights) / n)
+
+
+class TestCountDrawReplay:
+    """Replication i is one rng.multinomial count draw on the generator of
+    SeedSequence(seed).spawn(R)[i] (vanishing lambda: spawned per sample size,
+    then per replication) and one solve; a cold solve on the replayed counts
+    reproduces the returned draw."""
+
+    @pytest.mark.parametrize("m_size", [None, 90], ids=["one-sample", "two-sample"])
+    def test_mc_clt(self, m_size):
+        r, s, m = _instance(30)
+        cfg = ExperimentConfig(statistic=VALUE_CLT, n=120, m=m_size, replications=6, seed=31)
+        rep = mc_clt_experiment(r, s, m, cfg)
+        pop = erot.solve(r, s, m, 1.0)
+        for i, ss in enumerate(np.random.SeedSequence(31).spawn(6)):
+            rng = np.random.default_rng(ss)
+            r_hat = _count_draw(r, 120, rng)
+            s_hat = s if m_size is None else _count_draw(s, m_size, rng)
+            want = cfg.rate * (erot.solve(r_hat, s_hat, m, 1.0).value - pop.value)
+            assert rep.standardized_draws[i] == pytest.approx(want, rel=0, abs=1e-8)
+
+    def test_bootstrap_value(self):
+        r, s, m = _instance(32)
+        sample = np.random.default_rng(33).choice(4, size=150, p=r.weights)
+        draws = bootstrap_value(sample, s, m, 1.0, B=6, seed=34)
+        r_hat = erot.empirical_measure(sample, r.space)
+        base = erot.solve(r_hat, s, m, 1.0)
+        for i, ss in enumerate(np.random.SeedSequence(34).spawn(6)):
+            r_star = _count_draw(r_hat, 150, np.random.default_rng(ss))
+            want = np.sqrt(150) * (erot.solve(r_star, s, m, 1.0).value - base.value)
+            assert draws[i] == pytest.approx(want, rel=0, abs=1e-8)
+
+    def test_vanishing_lambda(self):
+        sp = erot.integer_grid(6)
+        r = erot.validate_measure([0.28, 0.22, 0.17, 0.13, 0.11, 0.09], sp)
+        s = erot.validate_measure([0.08, 0.12, 0.14, 0.18, 0.21, 0.27], sp)
+        m, _ = erot.build_cost({"family": "bounded", "p": 1}, sp, sp, 1.0)
+        sizes, R = (60, 120), 5
+        rep = vanishing_lambda_experiment(r, s, m, sample_sizes=sizes, replications=R, seed=35)
+        ot = erot.exact_ot_small(r, s, m)
+        size_seeds = np.random.SeedSequence(35).spawn(len(sizes))
+        for n, size_seed, trace in zip(sizes, size_seeds, rep.variance_trace):
+            lam = n ** -0.6
+            var_hats, draws = [], []
+            for ss in size_seed.spawn(R):
+                r_hat = _count_draw(r, n, np.random.default_rng(ss))
+                sol = erot.solve(r_hat, s, m, lam)
+                mean = sol.alpha @ r_hat.weights
+                var_hats.append((sol.alpha - mean) ** 2 @ r_hat.weights)
+                draws.append(np.sqrt(n) * (sol.value - ot.value))
+            assert trace == pytest.approx(abs(np.mean(var_hats) - rep.var_alpha0), rel=0, abs=1e-8)
+        assert rep.standardized_draws == pytest.approx(np.array(draws), rel=0, abs=1e-8)

@@ -10,6 +10,12 @@ and vanishing-lambda, ``--threads`` only the last three.  A flag the subcommand
 takes falls back to EROT_<FLAG> (``--max-iter`` to EROT_MAX_ITER; the flag
 wins); variables for flags it does not take are ignored.
 
+mc-clt and vanishing-lambda read an experiment file (--config): a JSON object
+whose keys are those of ``MC_CLT_KEYS`` or ``VANISHING_LAMBDA_KEYS``.  A key
+left out takes the library's default (``ExperimentConfig``,
+``vanishing_lambda_experiment``), ``lambda`` and ``seed`` win over the flags,
+and an unknown key exits 2.
+
 Exit codes: 0 success, 2 validation/configuration error (an unknown flag, a
 flag the subcommand does not take and a malformed value, in a flag or an
 experiment file, included), 3 solver non-convergence; the last stderr line is
@@ -59,6 +65,8 @@ from .sensitivity import (
     value_variance,
 )
 from .sinkhorn import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     Normalization,
     SolveConfig,
     exact_ot_small,
@@ -79,8 +87,8 @@ FLAGS = {
     "out": (str, None),
     "lambda": (float, 1.0),
     "normalization": (str, "balanced"),
-    "tol": (float, 1e-10),
-    "max-iter": (int, 100_000),
+    "tol": (float, DEFAULT_TOL),
+    "max-iter": (int, DEFAULT_MAX_ITER),
     "mode": (str, ONE_SAMPLE_R),
     "delta": (float, None),
     "theorem": (str, None),
@@ -95,6 +103,11 @@ FLAGS = {
 }
 # flags naming a file the subcommand reads; the manifest digests each one given
 INPUT_FLAGS = ("r", "s", "cost", "functions", "config")
+# experiment-file key: cast; keys left out take the library's defaults
+MC_CLT_KEYS = {"lambda": float, "seed": int, "statistic": str, "n": int, "m": int,
+               "replications": int, "f": lambda v: np.asarray(v, dtype=float)}
+VANISHING_LAMBDA_KEYS = {"seed": int, "sample_sizes": lambda v: tuple(map(operator.index, v)),
+                         "lambda_coef": float, "lambda_exponent": float, "replications": int}
 
 
 def _attr(flag: str) -> str:
@@ -106,7 +119,7 @@ def _parse(cast, raw, source: str):
     """cast(raw); a value it rejects is a ConfigParse naming its source."""
     try:
         return cast(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigParse(f"bad value for {source}: {raw}") from exc
 
 
@@ -115,17 +128,17 @@ def _floats(text: str) -> list:
     return [float(v) for v in text.split(",")]
 
 
-def _experiment(path) -> dict:
-    """The JSON object of an experiment file (--config)."""
+def _experiment(path, keys: dict) -> dict:
+    """The entries of an experiment file (--config), each cast by its key in
+    `keys`; a key not in `keys` is a ConfigParse."""
     raw = io.load_json(path)
     if not isinstance(raw, dict):
         raise ConfigParse(f"experiment file {path} must hold a JSON object")
-    return raw
-
-
-def _entry(raw: dict, key: str, cast, default, path):
-    """raw[key] from an experiment file, cast, else the default."""
-    return _parse(cast, raw[key], f"{key!r} in {path}") if key in raw else default
+    unknown = [key for key in raw if key not in keys]
+    if unknown:
+        raise ConfigParse(f"unknown keys {unknown} in experiment file {path}; "
+                          f"it takes {', '.join(keys)}")
+    return {key: _parse(keys[key], value, f"{key!r} in {path}") for key, value in raw.items()}
 
 
 def _load_instance(a, lam: float):
@@ -273,16 +286,18 @@ def _cmd_derivative_check(a):
 
 def _cmd_bootstrap(a):
     r, s, model, _ = _load_instance(a, a.lam)
+    fns = io.load_function_tables(a.functions, model.cost.shape) if a.functions else ()
+    if len(fns) > 1:
+        raise ConfigParse(f"bootstrap takes one function table; {a.functions} holds {len(fns)}")
     ss = np.random.SeedSequence(a.seed).spawn(2)
     sample = np.random.default_rng(ss[0]).choice(
         r.space.size, size=a.n, p=r.weights
     )
     cfg = _solve_cfg(a)
     start = time.perf_counter()
-    if a.functions:
-        f = io.load_function_tables(a.functions, model.cost.shape)[0]
+    if fns:
         draws = bootstrap_plan_functional(
-            sample, s, model, a.lam, f, a.B, ss[1], r.space, a.threads, cfg)
+            sample, s, model, a.lam, fns[0], a.B, ss[1], r.space, a.threads, cfg)
     else:
         draws = bootstrap_value(sample, s, model, a.lam, a.B, ss[1], r.space, a.threads, cfg)
     runtime = time.perf_counter() - start
@@ -300,24 +315,13 @@ def _cmd_bootstrap(a):
 
 
 def _cmd_mc_clt(a):
-    cfg_raw = _experiment(a.config)
-    # the experiment file's lambda and seed win over the flags; the manifest
-    # records the ones used
-    a.lam = _entry(cfg_raw, "lambda", float, a.lam, a.config)
-    a.seed = _entry(cfg_raw, "seed", int, a.seed, a.config)
+    entries = _experiment(a.config, MC_CLT_KEYS)
+    # the manifest records the lambda and seed used
+    a.lam = entries.pop("lambda", a.lam)
+    a.seed = entries.pop("seed", a.seed)
+    cfg = ExperimentConfig(**entries, lam=a.lam, seed=a.seed, threads=a.threads,
+                           solve_cfg=_solve_cfg(a))
     r, s, model, profile = _load_instance(a, a.lam)
-    f = np.asarray(cfg_raw["f"], dtype=float) if "f" in cfg_raw else None
-    cfg = ExperimentConfig(
-        statistic=cfg_raw.get("statistic", "ValueCLT"),
-        n=_entry(cfg_raw, "n", int, 1000, a.config),
-        m=_entry(cfg_raw, "m", int, None, a.config),
-        replications=_entry(cfg_raw, "replications", int, 500, a.config),
-        lam=a.lam,
-        seed=a.seed,
-        f=f,
-        threads=a.threads,
-        solve_cfg=_solve_cfg(a),
-    )
     conditions = check_value_conditions(r, s, profile, cfg.design)
     report = mc_clt_experiment(r, s, model, cfg, conditions)
     draws_csv = Path(a.out).with_suffix(".draws.csv")
@@ -330,19 +334,11 @@ def _cmd_mc_clt(a):
 
 
 def _cmd_vanishing_lambda(a):
-    cfg_raw = _experiment(a.config)
+    entries = _experiment(a.config, VANISHING_LAMBDA_KEYS)
+    a.seed = entries.pop("seed", a.seed)
     r, s, model, _ = _load_instance(a, 1.0)
-    a.seed = _entry(cfg_raw, "seed", int, a.seed, a.config)
-    report = vanishing_lambda_experiment(
-        r, s, model,
-        sample_sizes=_entry(cfg_raw, "sample_sizes", lambda v: tuple(map(operator.index, v)),
-                            (500, 2000, 8000), a.config),
-        lambda_coef=_entry(cfg_raw, "lambda_coef", float, 1.0, a.config),
-        lambda_exponent=_entry(cfg_raw, "lambda_exponent", float, -0.6, a.config),
-        replications=_entry(cfg_raw, "replications", int, 200, a.config),
-        seed=a.seed,
-        threads=a.threads,
-    )
+    report = vanishing_lambda_experiment(r, s, model, **entries, seed=a.seed,
+                                         threads=a.threads)
     draws_csv = Path(a.out).with_suffix(".draws.csv")
     io.write_draws_csv(report.standardized_draws, draws_csv)
     return report.to_dict(), [draws_csv]

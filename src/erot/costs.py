@@ -15,7 +15,7 @@ grids where atom coordinates grow linearly with the index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 
@@ -407,17 +407,7 @@ def shift_nonnegative(m: CostModel, r: DiscreteMeasure, s: DiscreteMeasure):
         cY_minus=np.zeros(m.space_Y.size),
         cY_plus=dom.cY_plus - dom.cY_minus,
     )
-    shifted = CostModel(
-        m.space_X,
-        m.space_Y,
-        shifted_cost,
-        shifted_dom,
-        None,
-        m.family_tag,
-        m.growth,
-        m.bounded_x_variation,
-        m.bounded_y_variation,
-    )
+    shifted = replace(m, cost=shifted_cost, dom_primary=shifted_dom, dom_secondary=None)
     return shifted, offset
 
 

@@ -187,36 +187,35 @@ def mc_clt_experiment(r: DiscreteMeasure, s: DiscreteMeasure, m: CostModel,
             RuntimeWarning,
         )
     lam, design, solve_cfg = cfg.lam, cfg.design, cfg.solve_cfg
-    pop = solve(r, s, m, lam, solve_cfg)
-    warm = (pop.alpha, pop.beta)
-
-    def from_solution(read):
-        """(pop_stat, stat_of) for a statistic read off a solve warm-started from pop."""
-        return read(pop), lambda r_hat, s_hat: read(
-            solve(r_hat, s_hat, m, lam, solve_cfg, warm_start=warm))
+    if cfg.statistic == PLAN_FUNCTIONAL_CLT and np.shape(cfg.f) != m.cost.shape:
+        raise ConfigParse(f"PlanFunctionalCLT needs a test table f of shape {m.cost.shape}")
 
     # each statistic: its limit variance, population value and plug-in map
-    if cfg.statistic == VALUE_CLT:
-        target = value_variance(pop, r, s, design)
-        pop_stat, stat_of = from_solution(lambda sol: sol.value)
-    elif cfg.statistic == SINKHORN_COST_CLT:
-        ops = build_operators(pop, r, s, m)
-        target = sinkhorn_cost_variance(ops, r, s, m, design)
-        pop_stat, stat_of = from_solution(lambda sol: sol.cost_part)
-    elif cfg.statistic == PLAN_FUNCTIONAL_CLT:
-        if cfg.f is None:
-            raise ValueError("PlanFunctionalCLT needs a test table f")
-        f = np.asarray(cfg.f, dtype=float)
-        ops = build_operators(pop, r, s, m)
-        target = float(functional_covariance(ops, r, s, [f], design)[0, 0])
-        pop_stat, stat_of = from_solution(lambda sol: float(np.sum(f * sol.plan)))
-    else:  # DIVERGENCE_CLT, the last one ExperimentConfig admits
+    if cfg.statistic == DIVERGENCE_CLT:
         target = divergence_variance(r, s, m, lam, design, cfg=solve_cfg)
 
         def stat_of(r_hat, s_hat):
             return sinkhorn_divergence(r_hat, s_hat, m, lam, solve_cfg)
 
         pop_stat = stat_of(r, s)
+    else:
+        # the other three read each plug-in solve, warm-started from the population's
+        pop = solve(r, s, m, lam, solve_cfg)
+        if cfg.statistic == VALUE_CLT:
+            target = value_variance(pop, r, s, design)
+            read = lambda sol: sol.value
+        elif cfg.statistic == SINKHORN_COST_CLT:
+            target = sinkhorn_cost_variance(build_operators(pop, r, s, m), r, s, m, design)
+            read = lambda sol: sol.cost_part
+        else:  # PLAN_FUNCTIONAL_CLT, the last one ExperimentConfig admits
+            f = np.asarray(cfg.f, dtype=float)
+            ops = build_operators(pop, r, s, m)
+            target = float(functional_covariance(ops, r, s, [f], design)[0, 0])
+            read = lambda sol: float(np.sum(f * sol.plan))
+        pop_stat, warm = read(pop), (pop.alpha, pop.beta)
+
+        def stat_of(r_hat, s_hat):
+            return read(solve(r_hat, s_hat, m, lam, solve_cfg, warm_start=warm))
 
     def one(rng):
         r_hat = _sample_from(r, cfg.n, rng)
@@ -281,6 +280,10 @@ def vanishing_lambda_experiment(
         raise ConfigParse("sample_sizes must be a non-empty list of sizes >= 2")
     if replications < 1:
         raise ConfigParse("replications must be >= 1")
+    if not 0 < lambda_coef < np.inf:
+        raise ConfigParse("lambda_coef must be positive and finite")
+    if not np.isfinite(lambda_exponent):
+        raise ConfigParse("lambda_exponent must be finite")
     start = time.perf_counter()
     ot = exact_ot_small(r, s, m)
     if not ot.unique_potentials:

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +10,8 @@ import numpy as np
 import pytest
 
 import erot
-from erot.cli import main
+from erot.cli import MC_CLT_KEYS, VANISHING_LAMBDA_KEYS, _attr, main
+from erot.resampling import ExperimentConfig, bootstrap_plan_functional, vanishing_lambda_experiment
 
 
 @pytest.fixture
@@ -363,8 +366,28 @@ def test_import_leaves_stats_and_optimize_unloaded():
      "sample_sizes must be a non-empty list of sizes >= 2"),
     ("vanishing-lambda", [], {"replications": 0}, "replications must be >= 1"),
     ("mc-clt", [], {"statistic": "ValueCLTT"}, "unknown statistic 'ValueCLTT'"),
+    ("vanishing-lambda", [], {"sample_sizes": [50, 100], "lambda_coef": 0},
+     "lambda_coef must be positive and finite"),
+    ("vanishing-lambda", [], {"sample_sizes": [50, 100], "lambda_coef": -1},
+     "lambda_coef must be positive and finite"),
+    ("vanishing-lambda", [], {"lambda_exponent": float("inf")}, "lambda_exponent must be finite"),
+    ("mc-clt", [], {"statistic": "PlanFunctionalCLT", "f": [[1, 2], [3]]},
+     "bad value for 'f' in {config}: [[1, 2], [3]]"),
+    ("mc-clt", [], {"statistic": "PlanFunctionalCLT", "f": [[1, 0], [0, 1]]},
+     "PlanFunctionalCLT needs a test table f of shape (3, 3)"),
+    ("mc-clt", [], {"statistic": "PlanFunctionalCLT"},
+     "PlanFunctionalCLT needs a test table f of shape (3, 3)"),
+    ("mc-clt", [], {"n": float("inf")}, "bad value for 'n' in {config}: inf"),
+    ("mc-clt", [], {"statistic": "ValueCLT", "n": 300, "replication": 2000},
+     "unknown keys ['replication'] in experiment file {config}; "
+     "it takes lambda, seed, statistic, n, m, replications, f"),
+    ("vanishing-lambda", [], {"sizes": [50, 100], "lambda": 1},
+     "unknown keys ['sizes', 'lambda'] in experiment file {config}; "
+     "it takes seed, sample_sizes, lambda_coef, lambda_exponent, replications"),
 ], ids=["ts", "lambdas", "config-n", "config-list", "sizes-scalar", "sizes-string",
-        "sizes-float", "sizes-zero", "sizes-empty", "replications-zero", "statistic"])
+        "sizes-float", "sizes-zero", "sizes-empty", "replications-zero", "statistic",
+        "coef-zero", "coef-negative", "exponent-inf", "f-ragged", "f-shape", "f-missing",
+        "n-infinite", "mc-clt-unknown-key", "vanishing-lambda-unknown-keys"])
 def test_malformed_list_and_config_values_are_config_parse(
         instance, capsys, subcommand, extra, config, message):
     paths, tmp = instance
@@ -376,6 +399,40 @@ def test_malformed_list_and_config_values_are_config_parse(
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err == {"error": "ConfigParse", "message": message.format(config=cfg)}
+
+
+def test_experiment_keys_reach_library_parameters():
+    # every key of an experiment file is a parameter of the code it configures
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert {_attr(key) for key in MC_CLT_KEYS} <= fields
+    params = inspect.signature(vanishing_lambda_experiment).parameters
+    assert set(VANISHING_LAMBDA_KEYS) <= set(params)
+
+
+def test_bootstrap_functions_draws_match_library(instance, capsys):
+    paths, tmp = instance
+    f = np.arange(9.0).reshape(3, 3)
+    fns = tmp / "fns.json"
+    fns.write_text(json.dumps([f.tolist()]))
+    out = tmp / "bf.json"
+    assert main(["bootstrap", *_base(paths, "--lambda", "1", "--n", "80", "--B", "5",
+                                     "--seed", "7", "--functions", str(fns),
+                                     "--out", str(out))]) == 0
+    r, s = erot.io.load_measure(paths["r"]), erot.io.load_measure(paths["s"])
+    model, _ = erot.io.load_cost(paths["cost"], r.space, s.space, 1.0)
+    ss = np.random.SeedSequence(7).spawn(2)
+    sample = np.random.default_rng(ss[0]).choice(3, size=80, p=r.weights)
+    want = tmp / "want.csv"
+    erot.io.write_draws_csv(
+        bootstrap_plan_functional(sample, s, model, 1.0, f, 5, ss[1], r.space), want)
+    assert out.with_suffix(".draws.csv").read_bytes() == want.read_bytes()
+
+    fns.write_text(json.dumps([f.tolist(), np.eye(3).tolist()]))
+    assert main(["bootstrap", *_base(paths, "--lambda", "1", "--n", "80", "--functions",
+                                     str(fns), "--out", str(out))]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "ConfigParse",
+                   "message": f"bootstrap takes one function table; {fns} holds 2"}
 
 
 @pytest.mark.parametrize("tail, message", [

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 import erot
-from erot.errors import EmptyInput, NonUniquePotentials
+from erot.errors import ConfigParse, EmptyInput, NonUniquePotentials
 from erot.resampling import (
     DIVERGENCE_CLT,
     PLAN_FUNCTIONAL_CLT,
@@ -27,6 +27,10 @@ def _instance(seed, n=4, lam=1.0):
     s = erot.validate_measure(rng.dirichlet(np.ones(n) * 4), sp)
     m, _ = erot.build_cost({"family": "bounded", "p": 1}, sp, sp, lam)
     return r, s, m
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("not expected to run")
 
 
 class TestKSStatistic:
@@ -137,6 +141,21 @@ class TestMCExperiment:
         with pytest.raises(ValueError):
             mc_clt_experiment(r, s, m, cfg)
 
+    def test_plan_functional_table_checked_before_any_solve(self, monkeypatch):
+        r, s, m = _instance(13)
+        monkeypatch.setattr(erot.resampling, "solve", _refuse)
+        cfg = ExperimentConfig(statistic=PLAN_FUNCTIONAL_CLT, n=200, replications=4,
+                               f=np.eye(3))
+        with pytest.raises(ConfigParse, match=r"f of shape \(4, 4\)"):
+            mc_clt_experiment(r, s, m, cfg)
+
+    def test_divergence_clt_reads_no_population_solve(self, monkeypatch):
+        # the divergence and its variance solve inside sensitivity/sinkhorn
+        r, s, m = _instance(12)
+        monkeypatch.setattr(erot.resampling, "solve", _refuse)
+        cfg = ExperimentConfig(statistic=DIVERGENCE_CLT, n=400, replications=3, seed=2)
+        assert mc_clt_experiment(r, s, m, cfg).standardized_draws.shape == (3,)
+
     def test_failed_conditions_warn(self):
         sp = erot.integer_grid(20)
         poly = erot.polynomial_measure(sp, 2.0)
@@ -169,6 +188,14 @@ class TestMCExperiment:
 
 
 class TestVanishingLambda:
+    @pytest.mark.parametrize("kw", [dict(lambda_coef=0.0), dict(lambda_coef=np.inf),
+                                    dict(lambda_exponent=np.nan)])
+    def test_schedule_checked_before_exact_ot(self, monkeypatch, kw):
+        r, s, m = _instance(14)
+        monkeypatch.setattr(erot.resampling, "exact_ot_small", _refuse)
+        with pytest.raises(ConfigParse, match="must be"):
+            vanishing_lambda_experiment(r, s, m, sample_sizes=(50,), replications=2, **kw)
+
     def test_refuses_nonunique_potentials(self):
         sp = erot.integer_grid(3)
         u = erot.validate_measure(np.full(3, 1 / 3), sp)

@@ -28,12 +28,15 @@ vanishing-lambda, the runtime.
 Start-up is kept small: importing this module loads no scipy module, and a
 subcommand imports only the scipy modules its computation uses (scipy.linalg
 for the derivative layer, scipy.special for the normal reference of the MC
-experiments, scipy.optimize and scipy.sparse for the exact LP).
+experiments, scipy.optimize and scipy.sparse for the exact LP).  Exit is kept
+small too: the process entry ``run`` freezes the heap once ``main`` returns,
+so the interpreter's final garbage collections skip what the imports built.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import operator
 import os
@@ -489,5 +492,14 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry of ``erot`` and ``python -m erot.cli``: main's exit
+    code, after gc.freeze() has put the import heap out of reach of the
+    interpreter's final collections.  main(argv) in process never freezes."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

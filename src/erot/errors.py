@@ -49,7 +49,11 @@ class NonConvergence(ErotError):
 
 
 class MarginalMismatch(ErotError):
-    pass
+    def __init__(self, message, error=None, atom=None, weight=None):
+        super().__init__(message)
+        self.error = error  # the worst relative marginal error
+        self.atom = atom  # the label of the atom it is at
+        self.weight = weight  # that atom's weight
 
 
 class AsymmetricSetup(ErotError):

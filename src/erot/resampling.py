@@ -284,6 +284,16 @@ def vanishing_lambda_experiment(
         raise ConfigParse("lambda_coef must be positive and finite")
     if not np.isfinite(lambda_exponent):
         raise ConfigParse("lambda_exponent must be finite")
+    lambdas = []
+    for n in sample_sizes:
+        try:
+            lam = lambda_coef * n**lambda_exponent
+        except OverflowError:
+            lam = np.inf
+        if not 0 < lam < np.inf:
+            raise ConfigParse(f"the schedule lambda_coef * n**lambda_exponent must be "
+                              f"positive and finite; it is {lam} at n = {n}")
+        lambdas.append(lam)
     start = time.perf_counter()
     ot = exact_ot_small(r, s, m)
     if not ot.unique_potentials:
@@ -293,7 +303,6 @@ def vanishing_lambda_experiment(
     var0 = float(
         (ot.alpha0 - ot.alpha0 @ r.weights) ** 2 @ r.weights
     )
-    lambdas = [lambda_coef * n**lambda_exponent for n in sample_sizes]
     trace = []
     size_seeds = np.random.SeedSequence(seed).spawn(len(sample_sizes))
     for n, lam, size_seed in zip(sample_sizes, lambdas, size_seeds):

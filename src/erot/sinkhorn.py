@@ -435,6 +435,9 @@ class OTSolution:
 
 
 MAX_EXACT_SIZE = 512
+# worst relative marginal error of an exact plan over positive-mass atoms
+# (good solves: at most about 3e-11; a lost atom: 1)
+EXACT_MARGINAL_TOL = 1e-9
 
 
 def exact_ot_small(r: DiscreteMeasure, s: DiscreteMeasure, m: CostModel) -> OTSolution:
@@ -442,7 +445,11 @@ def exact_ot_small(r: DiscreteMeasure, s: DiscreteMeasure, m: CostModel) -> OTSo
 
     Returns a vertex plan, complementary-slack potentials, and whether the
     dual potentials are unique on the supports (the support graph of the
-    optimal plan is connected).
+    optimal plan is connected).  HiGHS solves the LP without presolve, which
+    has nothing to remove here.  Its tolerances are absolute, so on a tail
+    it can still lose the whole mass of a light atom: a plan whose marginals
+    miss a positive weight by more than EXACT_MARGINAL_TOL relative raises
+    MarginalMismatch with that error, the atom and its weight.
     """
     from scipy import sparse
     from scipy.optimize import linprog
@@ -463,11 +470,22 @@ def exact_ot_small(r: DiscreteMeasure, s: DiscreteMeasure, m: CostModel) -> OTSo
         sparse.kron(np.ones((1, kx)), sparse.eye(ky, format="csr")[:-1]),
     ], format="csr")
     b = np.concatenate([r.weights[ix], s.weights[iy][:-1]])
-    res = linprog(c.ravel(), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    res = linprog(c.ravel(), A_eq=A, b_eq=b, bounds=(0, None), method="highs",
+                  options={"presolve": False})
     if not res.success:
         raise TooLarge(f"exact transportation solve failed: {res.message}")
 
     plan_sub = res.x.reshape(kx, ky)
+    weights = np.concatenate([r.weights[ix], s.weights[iy]])
+    sums = np.concatenate([plan_sub.sum(axis=1), plan_sub.sum(axis=0)])
+    rel = np.abs(sums - weights) / weights
+    k = int(np.argmax(rel))
+    if rel[k] > EXACT_MARGINAL_TOL:
+        side, atom = ("r", r.space.labels[ix[k]]) if k < kx else ("s", s.space.labels[iy[k - kx]])
+        raise MarginalMismatch(
+            f"exact transport plan misses the weight {weights[k]:.3e} of {side} atom "
+            f"{atom!r} by {rel[k]:.3e} relative (tolerance {EXACT_MARGINAL_TOL:g})",
+            error=float(rel[k]), atom=atom, weight=float(weights[k]))
     duals = np.asarray(res.eqlin.marginals, dtype=float)
     a_sub = duals[:kx]
     b_sub = np.concatenate([duals[kx:], [0.0]])

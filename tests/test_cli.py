@@ -1,4 +1,7 @@
+import ast
 import dataclasses
+import gc
+import importlib
 import inspect
 import json
 import os
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 
 import erot
+import erot.cli
 from erot.cli import MC_CLT_KEYS, VANISHING_LAMBDA_KEYS, _attr, main
 from erot.resampling import ExperimentConfig, bootstrap_plan_functional, vanishing_lambda_experiment
 
@@ -335,15 +339,95 @@ class TestStochasticCommands:
         assert isinstance(payload["unique_potentials"], bool)
 
 
+def test_ot_exact_refuses_a_plan_that_lost_a_tail_atom(tmp_path, capsys):
+    # geometric(0.7) against polynomial(3) on 200 atoms: HiGHS's absolute
+    # tolerances drop the lightest atoms' mass
+    sp = erot.integer_grid(200)
+    paths = {}
+    for name, measure in (("r", erot.geometric_measure(sp, 0.7)),
+                          ("s", erot.polynomial_measure(sp, 3.0))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({"labels": list(sp.labels),
+                                           "weights": measure.weights.tolist(),
+                                           "coords": list(range(200))}))
+    paths["cost"] = tmp_path / "cost.json"
+    paths["cost"].write_text(json.dumps({"family": "bounded", "p": 1}))
+    code = main(["ot-exact", *_base({k: str(v) for k, v in paths.items()},
+                                    "--out", str(tmp_path / "ot.json"))])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "MarginalMismatch"
+    assert "relative (tolerance 1e-09)" in err["message"]
+
+
+def _child_env():
+    src = str(Path(erot.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def _run_process(argv):
+    """`python -m erot.cli argv` in a child process."""
+    return subprocess.run([sys.executable, "-m", "erot.cli", *argv], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestProcessEntry:
+    def test_success_matches_in_process_run(self, instance):
+        paths, tmp = instance
+        out = tmp / "sol.json"
+        argv = ["solve", *_base(paths, "--lambda", "1", "--out", str(out))]
+        assert _run_process(argv).returncode == 0
+        written = [p.read_bytes() for p in (out, tmp / "sol.manifest.json")]
+        assert main(argv) == 0
+        assert [p.read_bytes() for p in (out, tmp / "sol.manifest.json")] == written
+
+    def test_config_parse_exit_2(self, instance):
+        paths, tmp = instance
+        proc = _run_process(["solve", *_base(paths, "--lambda", "abc",
+                                             "--out", str(tmp / "x.json"))])
+        assert proc.returncode == 2
+        err = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert err == {"error": "ConfigParse", "message": "bad value for --lambda: abc"}
+
+    def test_capped_nonconvergence_exit_3(self, instance):
+        paths, tmp = instance
+        proc = _run_process(["solve", *_base(paths, "--lambda", "0.05", "--tol", "1e-15",
+                                             "--max-iter", "2", "--out", str(tmp / "n.json"))])
+        assert proc.returncode == 3
+        err = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert err["error"] == "NonConvergence" and err["iterations"] == 2
+
+    def test_in_process_main_never_freezes(self, instance):
+        paths, tmp = instance
+        before = gc.get_freeze_count()
+        assert main(["solve", *_base(paths, "--lambda", "1", "--out", str(tmp / "s.json"))]) == 0
+        assert main(["solve", *_base(paths, "--out", str(tmp / "s.json"))]) == 2
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_runs_the_main_block_entry(self):
+        # pyproject's `erot` script and `python -m erot.cli` share one entry
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(erot.__file__).resolve().parents[2]
+        with (root / "pyproject.toml").open("rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["erot"]
+        module, _, name = target.partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        tree = ast.parse(Path(erot.cli.__file__).read_text())
+        block = [node for node in tree.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert len(block) == 1
+        (stmt,) = block[0].body
+        assert inspect.isfunction(entry)
+        assert getattr(erot.cli, stmt.value.func.id) is entry
+
+
 def test_import_leaves_stats_and_optimize_unloaded():
     # process start-up: scipy.stats and scipy.optimize are imported inside
     # the functions that use them, not when the CLI module loads
-    src = str(Path(erot.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, erot.cli; "
             "print([m for m in ('scipy.stats', 'scipy.optimize', 'concurrent.futures') "
             "if m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
 
@@ -371,6 +455,10 @@ def test_import_leaves_stats_and_optimize_unloaded():
     ("vanishing-lambda", [], {"sample_sizes": [50, 100], "lambda_coef": -1},
      "lambda_coef must be positive and finite"),
     ("vanishing-lambda", [], {"lambda_exponent": float("inf")}, "lambda_exponent must be finite"),
+    ("vanishing-lambda", [], {"sample_sizes": [100, 400], "replications": 2,
+                              "lambda_exponent": 200},
+     "the schedule lambda_coef * n**lambda_exponent must be positive and finite; "
+     "it is inf at n = 100"),
     ("mc-clt", [], {"statistic": "PlanFunctionalCLT", "f": [[1, 2], [3]]},
      "bad value for 'f' in {config}: [[1, 2], [3]]"),
     ("mc-clt", [], {"statistic": "PlanFunctionalCLT", "f": [[1, 0], [0, 1]]},
@@ -386,8 +474,8 @@ def test_import_leaves_stats_and_optimize_unloaded():
      "it takes seed, sample_sizes, lambda_coef, lambda_exponent, replications"),
 ], ids=["ts", "lambdas", "config-n", "config-list", "sizes-scalar", "sizes-string",
         "sizes-float", "sizes-zero", "sizes-empty", "replications-zero", "statistic",
-        "coef-zero", "coef-negative", "exponent-inf", "f-ragged", "f-shape", "f-missing",
-        "n-infinite", "mc-clt-unknown-key", "vanishing-lambda-unknown-keys"])
+        "coef-zero", "coef-negative", "exponent-inf", "schedule-overflow", "f-ragged",
+        "f-shape", "f-missing", "n-infinite", "mc-clt-unknown-key", "vanishing-lambda-unknown-keys"])
 def test_malformed_list_and_config_values_are_config_parse(
         instance, capsys, subcommand, extra, config, message):
     paths, tmp = instance
@@ -497,8 +585,6 @@ def test_start_up_loads_only_the_scipy_modules_a_subcommand_uses(instance):
     # two-sample KS reference; neither loads with the package or the CLI
     paths, tmp = instance
     argvs = {sub: argv for sub, argv in _all_subcommands(paths, tmp)}
-    src = str(Path(erot.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = """
 import json, sys
 MODULES = ("scipy.linalg", "scipy.special", "scipy.sparse", "scipy.stats", "scipy.optimize")
@@ -515,7 +601,7 @@ assert erot.cli.main(argvs["mc-clt"]) == 0
 seen["mc-clt"] = "scipy.stats" in sys.modules
 print(json.dumps(seen))
 """
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=_child_env(),
                           capture_output=True, text=True, timeout=120, check=True)
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert seen == {"erot": [], "erot.cli": [], "five": False, "mc-clt": False}

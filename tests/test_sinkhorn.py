@@ -544,6 +544,31 @@ class TestExactOT:
         sol = erot.exact_ot_small(r, s, m)
         assert sol.value == pytest.approx(s.weights @ c[0], abs=1e-10)
 
+    @staticmethod
+    def _tail_instance(n):
+        sp = erot.integer_grid(n)
+        r, s = erot.geometric_measure(sp, 0.7), erot.polynomial_measure(sp, 3.0)
+        m, _ = erot.build_cost({"family": "bounded", "p": 1}, sp, sp, 1.0)
+        return r, s, m
+
+    def test_tail_instance_matches_closed_form_w1(self):
+        # on the line, W1 = sum |F_r - F_s|; with presolve HiGHS lost an atom here
+        r, s, m = self._tail_instance(60)
+        w1 = float(np.abs(np.cumsum(r.weights) - np.cumsum(s.weights))[:-1].sum())
+        sol = erot.exact_ot_small(r, s, m)
+        assert sol.value == pytest.approx(w1, rel=1e-12)
+        assert sol.unique_potentials
+
+    def test_lost_tail_atom_raises_marginal_mismatch(self):
+        # atoms below HiGHS's absolute tolerance lose their mass whole
+        r, s, m = self._tail_instance(200)
+        with pytest.raises(MarginalMismatch) as info:
+            erot.exact_ot_small(r, s, m)
+        exc = info.value
+        assert exc.error > erot.sinkhorn.EXACT_MARGINAL_TOL
+        measure = r if f"r atom {exc.atom!r}" in str(exc) else s
+        assert exc.weight == measure.weights[measure.space.labels.index(exc.atom)] > 0
+
     def test_sandwich_ot_sinkhorn(self):
         rng = np.random.default_rng(20)
         for _ in range(10):

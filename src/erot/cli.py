@@ -28,7 +28,7 @@ vanishing-lambda, the runtime.
 Start-up is kept small: importing this module loads no scipy module, and a
 subcommand imports only the scipy modules its computation uses (scipy.linalg
 for the derivative layer, scipy.special for the normal reference of the MC
-experiments, scipy.optimize and scipy.sparse for the exact LP).  Exit is kept
+experiments; the exact transport oracle is numpy only).  Exit is kept
 small too: the process entry ``run`` freezes the heap once ``main`` returns,
 so the interpreter's final garbage collections skip what the imports built.
 """

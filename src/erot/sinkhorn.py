@@ -33,8 +33,9 @@ bound.  The final plan u K v r is built in the workspace, and at full
 support the cost table is used without a copy.
 
 Also provides the Sinkhorn divergence, quantitative potential/plan bounds,
-an exact unregularized transport oracle for small instances, and the
-vanishing-regularization gap chain  0 <= S - OT <= EROT - OT <= lam * H(r, s).
+an exact unregularized transport oracle for small instances (a network
+simplex in numpy), and the vanishing-regularization gap chain
+0 <= S - OT <= EROT - OT <= lam * H(r, s).
 """
 
 from __future__ import annotations
@@ -436,47 +437,306 @@ class OTSolution:
 
 MAX_EXACT_SIZE = 512
 # worst relative marginal error of an exact plan over positive-mass atoms
-# (good solves: at most about 3e-11; a lost atom: 1)
 EXACT_MARGINAL_TOL = 1e-9
+# a reduced cost c - alpha - beta at or above -EXACT_COST_TOL * max|c| counts
+# as nonnegative, and one at or below +EXACT_COST_TOL * max|c| as tight
+EXACT_COST_TOL = 1e-12
+# network simplex pivots after which exact_ot_small raises NonConvergence
+EXACT_MAX_PIVOTS = 200_000
+# rows of the cost table priced per block
+_PRICE_ROWS = 8
+
+
+def _corner_tree(a: np.ndarray, b: np.ndarray):
+    """The corner-rule basis as a spanning tree of the bipartite graph (rows
+    are nodes 0..kx-1, columns kx..kx+ky-1) rooted at the last column:
+    (preorder, parent, depth), the last two by node.
+
+    The staircase starts at the last row and column and fills each cell
+    with the smaller of the mass its row and its column have left; on line
+    costs with sorted atoms it is the monotone coupling, optimal as it
+    stands.  Starting from the last atoms, where the countable spaces put
+    their tails, keeps a tail's masses exact; the float imbalance of the
+    weights builds up towards the first atoms instead.  On a tie the
+    staircase moves to the previous row, so the zero-flow cell that follows
+    hangs its row from its column: every zero-flow arc points to the root,
+    and the tree is strongly feasible.  Each cell attaches its new node to
+    the node attached last or to an ancestor of it, so the attachment
+    order is a preorder.
+    """
+    kx, ky = a.size, b.size
+    n = kx + ky
+    i, j = kx - 1, ky - 1
+    left_a, left_b = float(a[i]), float(b[j])
+    parent = [-1] * n
+    depth = [0] * n
+    order = [n - 1]
+    attached = [False] * n
+    attached[n - 1] = True
+    while True:
+        child, par = (kx + j, i) if attached[i] else (i, kx + j)
+        parent[child] = par
+        depth[child] = depth[par] + 1
+        attached[child] = True
+        order.append(child)
+        if i == 0 and j == 0:
+            return order, parent, depth
+        if j == 0 or (i > 0 and left_a <= left_b):
+            left_b -= left_a
+            i -= 1
+            left_a = float(a[i])
+        else:
+            left_a -= left_b
+            j -= 1
+            left_b = float(b[j])
+
+
+def _net_supply(order: list, parent: list, supply: np.ndarray) -> list:
+    """Net supply of each node's subtree, summed leaves first from the
+    supplies (a on rows, -b on columns): the flow on a row's arc to its
+    parent, and minus the flow on a column's.  At the root it is the
+    weights' imbalance."""
+    net = supply.tolist()
+    for v in reversed(order[1:]):
+        net[parent[v]] += net[v]
+    return net
+
+
+def _tree_potentials(order: list, parent: list, c: np.ndarray) -> np.ndarray:
+    """Potentials that make every tree arc tight, alpha on the rows and -beta
+    on the columns (alpha_i + beta_j = c_ij), 0 at the root."""
+    kx = c.shape[0]
+    pot = [0.0] * len(order)
+    for v in order[1:]:
+        p = parent[v]
+        pot[v] = pot[p] + c.item(v, p - kx) if v < kx else pot[p] - c.item(p, v - kx)
+    return np.array(pot)
+
+
+def _path_up(depth: np.ndarray, p: int, stop: int) -> np.ndarray:
+    """Preorder positions of the node at position p and of its ancestors
+    below the one at position stop, deepest first.  Going back from p, the
+    ancestor at each depth is the first position that shallow."""
+    rise = np.maximum.accumulate(-depth[p:stop:-1])
+    return p - rise.searchsorted(np.arange(-depth[p], -depth[stop]))
+
+
+def _rerooted(order: np.ndarray, dep: np.ndarray, pos: np.ndarray, path: np.ndarray,
+              top: int, end: int):
+    """The subtree order[top:end] re-rooted at path[0], where path runs up
+    from path[0] to the subtree's root order[top]: its preorder, and its
+    depths below path[0].
+
+    The subtree of the path's m-th node, less that of its (m-1)-th, hangs m
+    levels below path[0] and keeps its own preorder; the new preorder takes
+    these pieces for m = 0, 1, ... in turn.
+    """
+    base = int(pos[path[0]])
+    # ends[m]: where the subtree of the path's m-th node ends
+    low = np.minimum.accumulate(dep[base + 1:end])
+    ends = base + 1 + (-low).searchsorted(np.arange(path.size) - dep[base])
+    at = np.arange(top, end)
+    m = (path.size - pos[path[::-1]].searchsorted(at, side="right")
+         + ends.searchsorted(at, side="right"))
+    perm = m.argsort(kind="stable")
+    return order[top:end][perm], dep[top:end][perm] + 2 * m[perm] - dep[base]
+
+
+def _network_simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Optimal vertex of min <c, x> over x >= 0 with row sums a and column
+    sums b: (plan, alpha, beta, value), with beta = 0 at the last column.
+
+    Network simplex on the complete bipartite graph (Bonneel, van de Panne,
+    Paris & Heidrich, SIGGRAPH Asia 2011) from the corner-rule tree.
+    The tree is held as a preorder with depths, so a subtree is a contiguous
+    slice.  Potentials are signed (alpha on rows, -beta on columns) and each
+    arc's flow is held as its subtree's net supply, so a pivot shifts the
+    potentials of a slice, and the flows of a path, by one number.  Entering
+    arcs are priced in blocks of _PRICE_ROWS rows; the leaving arc follows
+    Cunningham's strongly-feasible-tree rule, so degenerate pivots cannot
+    cycle.  At the end potentials and flows are recomputed from the tree,
+    the flows leaves first from the weights, so each atom's marginal is its
+    weight to rounding; the weights' float imbalance goes to the heaviest
+    atom.
+    """
+    kx, ky = c.shape
+    n = kx + ky
+    tol = EXACT_COST_TOL * float(np.abs(c).max())
+    supply = np.concatenate([a, -b])
+    order, parent, depth = _corner_tree(a, b)
+    net = np.array(_net_supply(order, parent, supply))
+    net = np.where(np.arange(n) < kx, np.maximum(net, 0.0), np.minimum(net, 0.0))
+    pot = _tree_potentials(order, parent, c)
+    order = np.array(order)
+    parent = np.array(parent)
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    # depths by preorder position, and a sentinel that ends the last subtree
+    dep = np.append(np.array(depth)[order], -1)
+    blocks = -(-kx // _PRICE_ROWS)
+    block = clean = pivots = 0
+    while True:
+        lo = block * _PRICE_ROWS
+        hi = min(lo + _PRICE_ROWS, kx)
+        block = (block + 1) % blocks
+        red = c[lo:hi] - pot[lo:hi, None]
+        red += pot[kx:]
+        k = int(red.argmin())
+        gain = red.item(k)
+        if gain >= -tol:
+            clean += 1
+            if clean < blocks:
+                continue
+            # every block priced clean: price again at exact tree potentials
+            pot = _tree_potentials(order.tolist(), parent.tolist(), c)
+            if (c - pot[:kx, None] + pot[kx:]).min() >= -tol:
+                break
+            clean = 0
+            continue
+        clean = 0
+        if pivots == EXACT_MAX_PIVOTS:
+            worst = float((c - pot[:kx, None] + pot[kx:]).min())
+            raise NonConvergence(
+                f"exact transport: no optimal basis after {pivots} pivots "
+                f"(reduced cost {worst:.3e})", iterations=pivots, residual=worst)
+        pivots += 1
+        u, w = lo + k // ky, kx + k % ky
+
+        # the cycle: both ends' paths up to their deepest common ancestor
+        pu, pw = int(pos[u]), int(pos[w])
+        first, last = min(pu, pw), max(pu, pw)
+        apex_depth = min(int(dep[first]), int(dep[first + 1:last + 1].min()) - 1)
+        apex = first - int((dep[first::-1] == apex_depth).argmax())
+        up_u = order[_path_up(dep, pu, apex)]
+        up_w = order[_path_up(dep, pw, apex)]
+        # the flow rises on (u, w) and falls on u's side on the arcs that hang
+        # a row, on w's side on those that hang a column.  The leaving arc is
+        # the last blocking one met going round from the apex in the entering
+        # arc's direction: on w's side the one nearest the apex, else on u's
+        # side the one nearest u.
+        theta_u = theta_w = np.inf
+        if up_u.size:
+            cap = np.where(up_u < kx, net[up_u], np.inf)
+            k_u = int(cap.argmin())
+            theta_u = cap[k_u]
+        if up_w.size:
+            cap = np.where(up_w >= kx, -net[up_w], np.inf)
+            k_w = up_w.size - 1 - int(cap[::-1].argmin())
+            theta_w = cap[k_w]
+        if theta_w <= theta_u:
+            theta, path, v_out, shift = theta_w, up_w[:k_w + 1], u, -gain
+        else:
+            theta, path, v_out, shift = theta_u, up_u[:k_u + 1], w, gain
+        if theta > 0:
+            net[up_u] -= theta
+            net[up_w] += theta
+
+        # re-hang the leaving arc's subtree from (u, w), re-rooted at its end
+        # of (u, w): the path from there up to the subtree's root reverses
+        top = int(pos[path[-1]])
+        end = top + 1 + int((dep[top + 1:] <= dep[top]).argmax())
+        pot[order[top:end]] += shift
+        new_order, new_dep = _rerooted(order, dep, pos, path, top, end)
+        net[path[1:]] = -net[path[:-1]]
+        net[path[0]] = theta if path[0] < kx else -theta
+        parent[path[1:]] = path[:-1]
+        parent[path[0]] = v_out
+        # splice the subtree in right after v_out, its new parent
+        pv = int(pos[v_out])
+        new_dep += dep[pv] + 1
+        if pv < top:
+            start = pv + 1
+            seg = np.concatenate([new_order, order[start:top]])
+            seg_dep = np.concatenate([new_dep, dep[start:top]])
+        else:
+            start = top
+            seg = np.concatenate([order[end:pv + 1], new_order])
+            seg_dep = np.concatenate([dep[end:pv + 1], new_dep])
+        order[start:start + seg.size] = seg
+        dep[start:start + seg.size] = seg_dep
+        pos[seg] = np.arange(start, start + seg.size)
+
+    # flows leaves first from the weights, in the tree re-rooted at the
+    # heaviest atom: the weights' imbalance and the rounding of the sums
+    # collect there, and light atoms stay away from the root
+    heavy = [int(np.argmax(np.abs(supply)))]
+    while parent[heavy[-1]] >= 0:
+        heavy.append(int(parent[heavy[-1]]))
+    heavy = np.array(heavy)
+    order = _rerooted(order, dep, pos, heavy, 0, n)[0].tolist()
+    parent[heavy[1:]] = heavy[:-1]
+    parent[heavy[0]] = -1
+    parent = parent.tolist()
+    net = _net_supply(order, parent, supply)
+    child = np.array(order[1:])
+    par = np.array(parent)[child]
+    row = child < kx
+    ri = np.where(row, child, par)
+    cj = np.where(row, par, child) - kx
+    flow = np.array(net)[child]
+    flow = np.maximum(np.where(row, flow, -flow), 0.0)
+    plan = np.zeros((kx, ky))
+    plan[ri, cj] = flow
+    return plan, pot[:kx], 0.0 - pot[kx:], float(c[ri, cj] @ flow)
+
+
+def _reaches_all(row_to_col: np.ndarray, col_to_row: np.ndarray) -> bool:
+    """Whether row 0 reaches every node of the bipartite digraph with an arc
+    row i -> column j where row_to_col[i, j], and column j -> row i where
+    col_to_row[i, j]."""
+    rows = np.zeros(row_to_col.shape[0], dtype=bool)
+    cols = np.zeros(row_to_col.shape[1], dtype=bool)
+    new_rows, new_cols = rows.copy(), cols.copy()
+    new_rows[0] = True
+    while new_rows.any() or new_cols.any():
+        rows |= new_rows
+        cols |= new_cols
+        new_rows, new_cols = (col_to_row[:, new_cols].any(axis=1) & ~rows,
+                              row_to_col[new_rows].any(axis=0) & ~cols)
+    return bool(rows.all() and cols.all())
+
+
+def _unique_potentials(plan: np.ndarray, c: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
+                       a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the optimal potentials are unique up to (alpha + t, beta - t).
+
+    Within a component of the plan's support graph the potentials move
+    together; across components they can move apart unless tight cells
+    (reduced cost c - alpha - beta at most EXACT_COST_TOL * max|c|) pin
+    them in both directions.  So they are unique iff the digraph with an
+    arc row i -> column j for each tight cell, and column j -> row i for
+    each support cell, is strongly connected.  A flow below
+    EXACT_MARGINAL_TOL of its lighter atom's weight is within the marginal
+    tolerance and counts as no support.
+    """
+    support = plan > EXACT_MARGINAL_TOL * np.minimum.outer(a, b)
+    tight = c - alpha[:, None] - beta <= EXACT_COST_TOL * np.abs(c).max()
+    return _reaches_all(tight, support) and _reaches_all(support, tight)
 
 
 def exact_ot_small(r: DiscreteMeasure, s: DiscreteMeasure, m: CostModel) -> OTSolution:
-    """Exact unregularized transport on small truncations via an LP solve.
+    """Exact unregularized transport on small truncations.
 
-    Returns a vertex plan, complementary-slack potentials, and whether the
-    dual potentials are unique on the supports (the support graph of the
-    optimal plan is connected).  HiGHS solves the LP without presolve, which
-    has nothing to remove here.  Its tolerances are absolute, so on a tail
-    it can still lose the whole mass of a light atom: a plan whose marginals
-    miss a positive weight by more than EXACT_MARGINAL_TOL relative raises
-    MarginalMismatch with that error, the atom and its weight.
+    Solves the transportation problem on the supports by a network simplex
+    (`_network_simplex`) and returns an optimal vertex plan, potentials with
+    beta = 0 at the last positive-mass atom of s, extended to zero-mass
+    atoms by c-conjugacy, and whether the potentials are unique on the
+    supports.  A plan whose marginals miss a positive weight by more than
+    EXACT_MARGINAL_TOL relative raises MarginalMismatch with that error, the
+    atom and its weight; more than EXACT_MAX_PIVOTS pivots raise
+    NonConvergence.
     """
-    from scipy import sparse
-    from scipy.optimize import linprog
-    from scipy.sparse.csgraph import connected_components
-
     nx, ny = r.space.size, s.space.size
     if nx > MAX_EXACT_SIZE or ny > MAX_EXACT_SIZE:
         raise TooLarge(f"exact oracle limited to {MAX_EXACT_SIZE} atoms per side")
     ix = np.flatnonzero(r.weights > 0)
     iy = np.flatnonzero(s.weights > 0)
-    kx, ky = ix.size, iy.size
+    kx = ix.size
     c = m.cost[np.ix_(ix, iy)]
+    rw, sw = r.weights[ix], s.weights[iy]
+    plan_sub, a_sub, b_sub, value = _network_simplex(rw, sw, c)
 
-    # equality constraints: row marginals then column marginals (drop the
-    # last, redundant, column constraint to keep the system full-rank)
-    A = sparse.vstack([
-        sparse.kron(sparse.eye(kx), np.ones((1, ky))),
-        sparse.kron(np.ones((1, kx)), sparse.eye(ky, format="csr")[:-1]),
-    ], format="csr")
-    b = np.concatenate([r.weights[ix], s.weights[iy][:-1]])
-    res = linprog(c.ravel(), A_eq=A, b_eq=b, bounds=(0, None), method="highs",
-                  options={"presolve": False})
-    if not res.success:
-        raise TooLarge(f"exact transportation solve failed: {res.message}")
-
-    plan_sub = res.x.reshape(kx, ky)
-    weights = np.concatenate([r.weights[ix], s.weights[iy]])
+    weights = np.concatenate([rw, sw])
     sums = np.concatenate([plan_sub.sum(axis=1), plan_sub.sum(axis=0)])
     rel = np.abs(sums - weights) / weights
     k = int(np.argmax(rel))
@@ -486,12 +746,6 @@ def exact_ot_small(r: DiscreteMeasure, s: DiscreteMeasure, m: CostModel) -> OTSo
             f"exact transport plan misses the weight {weights[k]:.3e} of {side} atom "
             f"{atom!r} by {rel[k]:.3e} relative (tolerance {EXACT_MARGINAL_TOL:g})",
             error=float(rel[k]), atom=atom, weight=float(weights[k]))
-    duals = np.asarray(res.eqlin.marginals, dtype=float)
-    a_sub = duals[:kx]
-    b_sub = np.concatenate([duals[kx:], [0.0]])
-    # fix the dual sign convention: feasibility requires a + b <= c
-    if np.max(a_sub[:, None] + b_sub[None, :] - c) > 1e-6:
-        a_sub, b_sub = -a_sub, -b_sub
 
     plan = np.zeros((nx, ny))
     plan[np.ix_(ix, iy)] = plan_sub
@@ -507,17 +761,12 @@ def exact_ot_small(r: DiscreteMeasure, s: DiscreteMeasure, m: CostModel) -> OTSo
     if off_y.size:
         beta0[off_y] = np.min(m.cost[np.ix_(ix, off_y)] - a_sub[:, None], axis=0)
 
-    support = plan_sub > 1e-12
-    graph = np.zeros((kx + ky, kx + ky), dtype=bool)
-    graph[:kx, kx:] = support
-    graph[kx:, :kx] = support.T
-    n_comp, _ = connected_components(graph, directed=False)
     return OTSolution(
-        value=float(res.fun),
+        value=value,
         plan=plan,
         alpha0=alpha0,
         beta0=beta0,
-        unique_potentials=(n_comp == 1),
+        unique_potentials=_unique_potentials(plan_sub, c, a_sub, b_sub, rw, sw),
     )
 
 

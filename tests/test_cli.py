@@ -339,25 +339,41 @@ class TestStochasticCommands:
         assert isinstance(payload["unique_potentials"], bool)
 
 
-def test_ot_exact_refuses_a_plan_that_lost_a_tail_atom(tmp_path, capsys):
-    # geometric(0.7) against polynomial(3) on 200 atoms: HiGHS's absolute
-    # tolerances drop the lightest atoms' mass
-    sp = erot.integer_grid(200)
+def _write_instance(tmp_path, r, s, cost):
+    """Write the three instance files; their paths, as _base takes them."""
     paths = {}
-    for name, measure in (("r", erot.geometric_measure(sp, 0.7)),
-                          ("s", erot.polynomial_measure(sp, 3.0))):
-        paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps({"labels": list(sp.labels),
-                                           "weights": measure.weights.tolist(),
-                                           "coords": list(range(200))}))
-    paths["cost"] = tmp_path / "cost.json"
-    paths["cost"].write_text(json.dumps({"family": "bounded", "p": 1}))
-    code = main(["ot-exact", *_base({k: str(v) for k, v in paths.items()},
-                                    "--out", str(tmp_path / "ot.json"))])
-    assert code == 2
+    for name, obj in (("r", r), ("s", s), ("cost", cost)):
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(obj))
+    return paths
+
+
+def test_ot_exact_keeps_every_atom_of_a_long_tail(tmp_path):
+    # geometric(0.7) against polynomial(3) on 200 atoms: weights down to 4e-32
+    sp = erot.integer_grid(200)
+    r, s = erot.geometric_measure(sp, 0.7), erot.polynomial_measure(sp, 3.0)
+    files = [{"labels": list(sp.labels), "weights": w.weights.tolist(),
+              "coords": list(range(200))} for w in (r, s)]
+    paths = _write_instance(tmp_path, *files, {"family": "bounded", "p": 1})
+    out = tmp_path / "ot.json"
+    assert main(["ot-exact", *_base(paths, "--out", str(out))]) == 0
+    payload = json.loads(out.read_text())
+    w1 = float(np.abs(np.cumsum(r.weights) - np.cumsum(s.weights))[:-1].sum())
+    assert payload["value"] == pytest.approx(w1, rel=1e-12)
+
+
+def test_ot_exact_pivot_cap_exit_3(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(7)
+    files = [{"labels": list(range(5)), "weights": rng.dirichlet(np.ones(5)).tolist()}
+             for _ in range(2)]
+    cost = {"family": "bounded", "cost": rng.uniform(0, 1, (5, 5)).tolist()}
+    paths = _write_instance(tmp_path, *files, cost)
+    monkeypatch.setattr(erot.sinkhorn, "EXACT_MAX_PIVOTS", 1)
+    code = main(["ot-exact", *_base(paths, "--out", str(tmp_path / "ot.json"))])
+    assert code == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"] == "MarginalMismatch"
-    assert "relative (tolerance 1e-09)" in err["message"]
+    assert err["error"] == "NonConvergence"
+    assert err["iterations"] == 1 and err["residual"] < 0
 
 
 def _child_env():
@@ -605,3 +621,20 @@ print(json.dumps(seen))
                           capture_output=True, text=True, timeout=120, check=True)
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert seen == {"erot": [], "erot.cli": [], "five": False, "mc-clt": False}
+
+
+def test_exact_transport_loads_neither_optimize_nor_sparse(instance):
+    # the exact oracle is numpy only
+    paths, tmp = instance
+    argvs = {sub: argv for sub, argv in _all_subcommands(paths, tmp)}
+    code = """
+import json, sys
+import erot.cli
+argvs = json.loads(sys.argv[1])
+for sub in ("ot-exact", "vanishing-lambda"):
+    assert erot.cli.main(argvs[sub]) == 0, sub
+print(json.dumps([m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=_child_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []

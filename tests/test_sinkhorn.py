@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 from scipy.special import logsumexp
 
 import erot
@@ -559,15 +560,148 @@ class TestExactOT:
         assert sol.value == pytest.approx(w1, rel=1e-12)
         assert sol.unique_potentials
 
-    def test_lost_tail_atom_raises_marginal_mismatch(self):
-        # atoms below HiGHS's absolute tolerance lose their mass whole
-        r, s, m = self._tail_instance(200)
+    @pytest.mark.parametrize("n", [120, 200, 512])
+    def test_long_tails_keep_every_atom(self, n):
+        # every weight from 0.3 down to 1e-80 keeps its mass, in both directions
+        r, s, m = self._tail_instance(n)
+        w1 = float(np.abs(np.cumsum(r.weights) - np.cumsum(s.weights))[:-1].sum())
+        for a, b in ((r, s), (s, r)):
+            sol = erot.exact_ot_small(a, b, m)
+            assert sol.value == pytest.approx(w1, rel=1e-12)
+            rel = np.concatenate([np.abs(sol.plan.sum(axis=1) - a.weights) / a.weights,
+                                  np.abs(sol.plan.sum(axis=0) - b.weights) / b.weights])
+            assert rel.max() <= 1e-12
+
+    def test_short_plan_raises_marginal_mismatch(self, monkeypatch):
+        # a solver that loses an atom's mass is refused, with the atom named
+        r, s, m = _random_instance(np.random.default_rng(22), 4, 3)
+        solver = erot.sinkhorn._network_simplex
+
+        def lose_last_row(a, b, c):
+            plan, alpha, beta, value = solver(a, b, c)
+            plan[-1] = 0.0
+            return plan, alpha, beta, value
+
+        monkeypatch.setattr(erot.sinkhorn, "_network_simplex", lose_last_row)
         with pytest.raises(MarginalMismatch) as info:
             erot.exact_ot_small(r, s, m)
         exc = info.value
-        assert exc.error > erot.sinkhorn.EXACT_MARGINAL_TOL
-        measure = r if f"r atom {exc.atom!r}" in str(exc) else s
-        assert exc.weight == measure.weights[measure.space.labels.index(exc.atom)] > 0
+        assert exc.error == pytest.approx(1.0)
+        assert exc.atom == r.space.labels[3] and exc.weight == r.weights[3]
+        assert f"r atom {exc.atom!r}" in str(exc) and "tolerance 1e-09" in str(exc)
+
+    def test_pivot_cap_raises_nonconvergence(self, monkeypatch):
+        r, s, m = _random_instance(np.random.default_rng(23), 6, 6)
+        monkeypatch.setattr(erot.sinkhorn, "EXACT_MAX_PIVOTS", 2)
+        with pytest.raises(NonConvergence) as info:
+            erot.exact_ot_small(r, s, m)
+        assert info.value.iterations == 2
+        assert info.value.residual < 0  # the most negative reduced cost
+
+    @staticmethod
+    def _lp(a, b, c):
+        """The transport LP by HiGHS, built here: an oracle independent of
+        the network simplex."""
+        kx, ky = c.shape
+        rows = np.vstack([np.kron(np.eye(kx), np.ones(ky)), np.kron(np.ones(kx), np.eye(ky))])
+        res = linprog(c.ravel(), A_eq=rows, b_eq=np.concatenate([a, b]), bounds=(0, None),
+                      method="highs")
+        assert res.status == 0
+        return res.fun
+
+    @staticmethod
+    def _lp_instance(rng, kind):
+        nx, ny = (int(k) for k in rng.integers(1, 9, 2))
+        spx, spy = erot.integer_grid(nx), erot.integer_grid(ny)
+        if kind == "equal_partial_sums":
+            # dyadic weights: partial sums tie exactly, and on the line
+            def parts(k):
+                cuts = np.sort(rng.choice(np.arange(1, 16), k - 1, replace=False))
+                return np.diff(np.concatenate([[0], cuts, [16]])) / 16
+            a, b = parts(nx), parts(ny)
+            c = np.abs(np.arange(nx)[:, None] - np.arange(ny)[None, :]).astype(float)
+        elif kind == "uniform_weights":
+            a, b = np.full(nx, 1 / nx), np.full(ny, 1 / ny)
+            c = rng.integers(0, 3, (nx, ny)).astype(float)
+        else:
+            a, b = rng.dirichlet(np.ones(nx)), rng.dirichlet(np.ones(ny))
+            c = rng.uniform(0, 2, (nx, ny))
+            if kind == "integer_costs":
+                c = rng.integers(0, 4, (nx, ny)).astype(float)
+            elif kind == "zero_mass":
+                a[rng.random(nx) < 0.3] = 0.0
+                b[rng.random(ny) < 0.3] = 0.0
+                a[rng.integers(nx)] += 0.5
+                b[rng.integers(ny)] += 0.5
+                a, b = a / a.sum(), b / b.sum()
+        r, s = erot.validate_measure(a, spx), erot.validate_measure(b, spy)
+        m, _ = erot.build_cost({"family": "custom", "cost": c}, spx, spy, 1.0)
+        return r, s, m
+
+    @pytest.mark.parametrize("kind", ["generic", "zero_mass", "integer_costs",
+                                      "uniform_weights", "equal_partial_sums"])
+    def test_against_lp(self, kind):
+        rng = np.random.default_rng(24)
+        for _ in range(10):
+            r, s, m = self._lp_instance(rng, kind)
+            ix, iy = np.flatnonzero(r.weights), np.flatnonzero(s.weights)
+            a, b, c = r.weights[ix], s.weights[iy], m.cost[np.ix_(ix, iy)]
+            sol = erot.exact_ot_small(r, s, m)
+            assert sol.value == pytest.approx(self._lp(a, b, c), rel=1e-12, abs=1e-12)
+            gaps = c - sol.alpha0[ix, None] - sol.beta0[None, iy]
+            plan = sol.plan[np.ix_(ix, iy)]
+            assert gaps.min() >= -1e-12 * np.abs(c).max()  # dual feasibility
+            assert (plan * np.abs(gaps)).max() <= 1e-12  # complementary slackness
+            assert np.all(sol.plan[np.ix_(r.weights == 0, s.weights >= 0)] == 0)
+            assert np.all(sol.plan[np.ix_(r.weights >= 0, s.weights == 0)] == 0)
+            assert np.max(np.abs(plan.sum(axis=1) - a) / a) <= 1e-12
+            assert np.max(np.abs(plan.sum(axis=0) - b) / b) <= 1e-12
+            assert sol.beta0[iy[-1]] == 0.0
+
+    @staticmethod
+    def _lp_unique(a, b, c, ot_value):
+        """Whether every alpha_i - alpha_0 takes one value over the optimal dual
+        face {alpha_i + beta_j <= c_ij, <alpha, a> + <beta, b> = OT}: its min
+        and max by HiGHS."""
+        kx, ky = c.shape
+        pairs = np.hstack([np.kron(np.eye(kx), np.ones((ky, 1))),
+                           np.kron(np.ones((kx, 1)), np.eye(ky))])
+        face = dict(A_ub=pairs, b_ub=c.ravel(), A_eq=np.concatenate([a, b])[None],
+                    b_eq=[ot_value], bounds=(None, None), method="highs",
+                    options={"primal_feasibility_tolerance": 1e-10})
+        for i in range(1, kx):
+            diff = np.zeros(kx + ky)
+            diff[i], diff[0] = 1.0, -1.0
+            low, high = linprog(diff, **face), linprog(-diff, **face)
+            assert low.status == high.status == 0
+            if -high.fun - low.fun > 1e-6:
+                return False
+        return True
+
+    def test_unique_potentials_against_the_dual_face(self):
+        cases = []
+        sp = erot.integer_grid(3)
+        line, _ = erot.build_cost({"family": "bounded", "p": 1}, sp, sp, 1.0)
+        metric, _ = erot.build_cost({"family": "bounded", "kind": "discrete_metric"},
+                                    sp, sp, 1.0)
+        u = erot.validate_measure(np.full(3, 1 / 3), sp)
+        cases.append((u, u, metric))  # identity coupling
+        # the CLI instance: a degenerate vertex with a disconnected support
+        cases.append((erot.validate_measure([0.2, 0.3, 0.5], sp),
+                      erot.validate_measure([0.5, 0.25, 0.25], sp), line))
+        rng = np.random.default_rng(25)
+        for kind in ("equal_partial_sums", "uniform_weights", "integer_costs") * 12:
+            r, s, m = self._lp_instance(rng, kind)
+            if r.space.size <= 6 and s.space.size <= 6:
+                cases.append((r, s, m))
+        verdicts = []
+        for r, s, m in cases:
+            sol = erot.exact_ot_small(r, s, m)
+            expected = self._lp_unique(r.weights, s.weights, m.cost, sol.value)
+            assert sol.unique_potentials == expected
+            verdicts.append(expected)
+        assert verdicts[:2] == [False, True]
+        assert sum(verdicts) > 3 and len(verdicts) - sum(verdicts) > 3
 
     def test_sandwich_ot_sinkhorn(self):
         rng = np.random.default_rng(20)

@@ -35,6 +35,18 @@ from .measures import (
 )
 
 SANDWICH_TOL = 1e-9
+# table-wide checks and reductions read an n x m table in row blocks of at
+# most this many cells (256 KB of float64), so their temporaries are a few
+# blocks where whole-table expressions would allocate several n x m tables
+BLOCK_CELLS = 32_768
+
+
+def row_blocks(n_rows: int, row_cells: int):
+    """Slices of consecutive rows, each of at most BLOCK_CELLS cells (but at
+    least one row)."""
+    step = max(1, BLOCK_CELLS // max(row_cells, 1))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
 
 
 class Family(Enum):
@@ -81,6 +93,10 @@ class DominatingCollection:
     cY_minus: np.ndarray
     cY_plus: np.ndarray
 
+    def __post_init__(self):
+        if self.cX_minus.shape != self.cX_plus.shape or self.cY_minus.shape != self.cY_plus.shape:
+            raise InvalidFamilyParams("dominating function lengths do not match each other")
+
     def x_variation(self) -> float:
         return float(np.max(self.cX_plus - self.cX_minus))
 
@@ -106,25 +122,44 @@ class CostModel:
         nx, ny = self.space_X.size, self.space_Y.size
         if self.cost.shape != (nx, ny):
             raise InvalidFamilyParams("cost table shape does not match spaces")
-        for dom in (self.dom_primary, self.dom_secondary):
-            if dom is None:
-                continue
+        doms = [d for d in (self.dom_primary, self.dom_secondary) if d is not None]
+        for dom in doms:
+            if dom.cX_minus.shape != (nx,) or dom.cY_minus.shape != (ny,):
+                raise InvalidFamilyParams("dominating function lengths do not match spaces")
             if np.any(dom.cX_minus > dom.cX_plus + SANDWICH_TOL) or np.any(
                 dom.cY_minus > dom.cY_plus + SANDWICH_TOL
             ):
                 raise InvalidFamilyParams("dominating functions violate c- <= c+")
-            lo = dom.cX_minus[:, None] + dom.cY_minus[None, :]
-            hi = dom.cX_plus[:, None] + dom.cY_plus[None, :]
-            if np.any(lo > self.cost + SANDWICH_TOL) or np.any(self.cost > hi + SANDWICH_TOL):
-                raise InvalidFamilyParams("dominating functions do not sandwich the cost")
+        # the exhaustive sandwich check, one row block at a time; a NaN entry
+        # passes every comparison, so each block's minimum is checked for it
+        for rows in row_blocks(nx, ny):
+            c = self.cost[rows]
+            if np.isnan(c.min()):
+                raise InvalidFamilyParams("cost table has NaN entries")
+            for dom in doms:
+                lo = np.add.outer(dom.cX_minus[rows], dom.cY_minus)
+                hi = np.add.outer(dom.cX_plus[rows], dom.cY_plus)
+                if np.any(lo > c + SANDWICH_TOL) or np.any(c > hi + SANDWICH_TOL):
+                    raise InvalidFamilyParams("dominating functions do not sandwich the cost")
+        # NaN bounds pass every comparison too; checked after the table pass,
+        # so a NaN table is named even where its derived bounds carry the NaN
+        for dom in doms:
+            if any(np.isnan(v).any() for v in (dom.cX_minus, dom.cX_plus, dom.cY_minus, dom.cY_plus)):
+                raise InvalidFamilyParams("dominating functions have NaN entries")
 
     @cached_property
     def is_symmetric(self) -> bool:
-        # computed on first read; the frozen model keeps the answer
+        """X = Y and the table equals its transpose up to np.allclose's
+        tolerance: absolute 1e-12 plus numpy's default relative 1e-5.
+
+        Computed on first read, each row panel against the matching
+        transposed column panel; the frozen model keeps the answer."""
+        c = self.cost
         return (
             self.space_X.same_as(self.space_Y)
-            and self.cost.shape[0] == self.cost.shape[1]
-            and np.allclose(self.cost, self.cost.T, atol=1e-12)
+            and c.shape[0] == c.shape[1]
+            and all(np.allclose(c[rows], c[:, rows].T, atol=1e-12)
+                    for rows in row_blocks(*c.shape))
         )
 
     @cached_property
@@ -206,12 +241,18 @@ def _dist_to_anchor(space: IndexedSpace, anchor, ord=None) -> np.ndarray:
     return np.linalg.norm(c - z[None, :], ord=ord, axis=1)
 
 
-def _pairwise_dist(sx: IndexedSpace, sy: IndexedSpace, ord=None) -> np.ndarray:
+def _pairwise_dist(sx: IndexedSpace, sy: IndexedSpace, ord=None, p: float = 1.0) -> np.ndarray:
+    """The table ||x - y||**p, built one row block at a time."""
     cx, cy = _coords(sx), _coords(sy)
     if cx.shape[1] != cy.shape[1]:
         raise InvalidFamilyParams("coordinate dimensions differ between spaces")
-    diff = cx[:, None, :] - cy[None, :, :]
-    return np.linalg.norm(diff, ord=ord, axis=2)
+    out = np.empty((cx.shape[0], cy.shape[0]))
+    for rows in row_blocks(cx.shape[0], cy.size):
+        block = out[rows]
+        block[...] = np.linalg.norm(cx[rows, None, :] - cy[None, :, :], ord=ord, axis=2)
+        if p != 1.0:
+            block **= p
+    return out
 
 
 def build_cost(family_spec: dict, space_X: IndexedSpace, space_Y: IndexedSpace, lam: float):
@@ -238,14 +279,16 @@ def _build_bounded(spec, sx, sy, lam):
     if "cost" in spec:
         cost = np.asarray(spec["cost"], dtype=float)
     elif spec.get("kind") == "discrete_metric":
-        cost = 1.0 - np.equal.outer(np.asarray(sx.labels), np.asarray(sy.labels)).astype(float)
+        cost = np.not_equal.outer(np.asarray(sx.labels), np.asarray(sy.labels)).astype(float)
     elif "p" in spec:
-        cost = _pairwise_dist(sx, sy, ord=spec.get("norm_ord")) ** float(spec["p"])
+        cost = _pairwise_dist(sx, sy, spec.get("norm_ord"), float(spec["p"]))
     else:
         raise InvalidFamilyParams("bounded family needs 'cost', 'kind' or 'p'")
-    if np.any(cost < 0):
+    if cost.min() < 0:
         raise InvalidFamilyParams("bounded family expects a nonnegative cost")
     C = float(cost.max())
+    if not math.isfinite(C):
+        raise InvalidFamilyParams(f"bounded family needs finite cost entries (max c = {C})")
     dom = DominatingCollection(
         cX_minus=np.zeros(sx.size),
         cX_plus=np.full(sx.size, C / 2.0),
@@ -266,7 +309,7 @@ def _build_metric_power(spec, sx, sy, lam):
     setting = spec.get("setting", "semi_bounded")
     dx = _dist_to_anchor(sx, anchor, ord)
     dy = _dist_to_anchor(sy, anchor, ord)
-    cost = _pairwise_dist(sx, sy, ord) ** float(p)
+    cost = _pairwise_dist(sx, sy, ord, float(p))
 
     if setting == "bounded":
         C = float((dx.max() + dy.max()) ** p)
@@ -347,8 +390,10 @@ def _build_separability(spec, sx, sy, lam):
     dx = _dist_to_anchor(sx, anchor, ord)
     dy = _dist_to_anchor(sy, anchor, ord)
     cost = _pairwise_dist(sx, sy, ord)
-    # exact supremum of the triangle defect on the finite truncation
-    kappa = float(np.max(dx[:, None] + dy[None, :] - cost))
+    # exact supremum of the triangle defect on the finite truncation, a max
+    # over row blocks (np.max, not max, so a NaN block maximum propagates)
+    kappa = float(np.max([np.max(dx[rows, None] + dy[None, :] - cost[rows])
+                          for rows in row_blocks(sx.size, sy.size)]))
     bound = spec.get("kappa_max")
     if bound is not None and kappa > bound:
         raise SeparabilityViolated(f"triangle defect {kappa:.6g} exceeds bound {bound}")
@@ -400,7 +445,8 @@ def shift_nonnegative(m: CostModel, r: DiscreteMeasure, s: DiscreteMeasure):
     """
     dom = m.dom_primary
     offset = float(dom.cX_minus @ r.weights + dom.cY_minus @ s.weights)
-    shifted_cost = m.cost - dom.cX_minus[:, None] - dom.cY_minus[None, :]
+    shifted_cost = m.cost - dom.cX_minus[:, None]
+    shifted_cost -= dom.cY_minus[None, :]
     shifted_dom = DominatingCollection(
         cX_minus=np.zeros(m.space_X.size),
         cX_plus=dom.cX_plus - dom.cX_minus,

@@ -175,8 +175,8 @@ def validate_measure(
     renormalize: bool = True,
     tail: TailFamily | None = FINITE_TAIL,
 ) -> DiscreteMeasure:
-    """Check nonnegativity and unit mass; small deviations (<= 1e-9) are
-    renormalized away when ``renormalize`` is set."""
+    """Check finite, nonnegative weights and unit mass; small deviations
+    (<= 1e-9) are renormalized away when ``renormalize`` is set."""
     w = np.asarray(weights, dtype=float)
     if w.shape != (space.size,):
         raise SpaceMismatch(
@@ -185,6 +185,10 @@ def validate_measure(
         )
     if np.any(w < 0):
         raise NegativeWeight(f"negative weight (min {w.min():.3g})")
+    finite = np.isfinite(w)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise MassMismatch(f"atom {space.labels[i]!r} has weight {w[i]}, not a finite number")
     total = w.sum()
     if abs(total - 1.0) > MASS_TOL:
         if renormalize and abs(total - 1.0) <= RENORM_TOL:

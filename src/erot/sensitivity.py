@@ -286,10 +286,12 @@ def divergence_variance(r: DiscreteMeasure, s: DiscreteMeasure, m: CostModel,
     r = s because the debiasing term has the same derivative there."""
     design = Design.of(mode, delta)
     _require_symmetric(m)
-    sol_rs = solve(r, s, m, lam, cfg)
+    rs = solve(r, s, m, lam, cfg)
+    alpha, beta = rs.alpha, rs.beta
+    del rs  # frees the (r, s) plan before the self-transport solves
     return design.combine(
-        lambda: _variance_under(r.weights, sol_rs.alpha - solve(r, r, m, lam, cfg).alpha),
-        lambda: _variance_under(s.weights, sol_rs.beta - solve(s, s, m, lam, cfg).beta),
+        lambda: _variance_under(r.weights, alpha - solve(r, r, m, lam, cfg).alpha),
+        lambda: _variance_under(s.weights, beta - solve(s, s, m, lam, cfg).beta),
     )
 
 

@@ -45,7 +45,7 @@ from enum import Enum
 
 import numpy as np
 
-from .costs import CostModel, WeightProfile
+from .costs import CostModel, WeightProfile, row_blocks
 from .errors import (
     AsymmetricSetup,
     MarginalMismatch,
@@ -308,16 +308,23 @@ def solve(
 def mutual_information(pi: np.ndarray, r: DiscreteMeasure, s: DiscreteMeasure,
                        marginal_tol: float = 1e-8) -> float:
     """KL divergence of the plan from the product of its prescribed marginals,
-    with the 0 log 0 = 0 convention."""
+    with the 0 log 0 = 0 convention; summed one row block at a time."""
     row_err = float(np.abs(pi.sum(axis=1) - r.weights).sum())
     col_err = float(np.abs(pi.sum(axis=0) - s.weights).sum())
     if row_err + col_err > marginal_tol:
         raise MarginalMismatch(
             f"plan marginals off by {row_err + col_err:.3e} (tolerance {marginal_tol:g})"
         )
-    prod = r.weights[:, None] * s.weights[None, :]
-    mask = pi > 0
-    return float(np.sum(pi[mask] * np.log(pi[mask] / prod[mask])))
+    total = 0.0
+    for rows in row_blocks(*pi.shape):
+        p = pi[rows]
+        # cells with p = 0 give nan or -inf here and are left out of the sum
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = p / np.multiply.outer(r.weights[rows], s.weights)
+            np.log(t, out=t)
+            t *= p
+        total += float(np.sum(t, where=p > 0))
+    return total
 
 
 def _require_symmetric(m: CostModel):
@@ -401,12 +408,21 @@ def verify_bounds(sol: SinkhornSolution, m: CostModel, r: DiscreteMeasure,
         a_hi = dom.cX_plus + mean_plus_Y - half_minus
         b_lo = dom.cY_minus - mean_plus_Y + half_minus - lam * np.log(eX_r)
         b_hi = dom.cY_plus + mean_plus_X - half_minus
+    finite = all(np.all(np.isfinite(b)) for b in (a_lo[ix], a_hi[ix], b_lo[iy], b_hi[iy]))
 
-        prod = rw[:, None] * sw[None, :]
-        p_lo = prod / (eX[:, None] * eY[None, :] * eX_r**2 * eY_s**2)
-        p_hi = prod * eX[:, None] * eY[None, :] * eX_r * eY_s
-    on_support = [a_lo[ix], a_hi[ix], b_lo[iy], b_hi[iy],
-                  p_lo[np.ix_(ix, iy)], p_hi[np.ix_(ix, iy)]]
+    # the plan bounds one row block at a time; np.max over the block maxima
+    # propagates a NaN as np.max over the whole table would
+    lower, upper = [], []
+    for rows in row_blocks(rw.size, sw.size):
+        with np.errstate(over="ignore"):
+            prod = rw[rows, None] * sw[None, :]
+            p_lo = prod / (eX[rows, None] * eY[None, :] * eX_r**2 * eY_s**2)
+            p_hi = prod * eX[rows, None] * eY[None, :] * eX_r * eY_s
+        lower.append(np.max(p_lo - bal.plan[rows]))
+        upper.append(np.max(bal.plan[rows] - p_hi))
+        support = np.ix_(ix[rows], iy)
+        finite = finite and np.all(np.isfinite(p_lo[support])) and np.all(
+            np.isfinite(p_hi[support]))
 
     def viol(arr):
         return float(max(0.0, np.max(arr))) if arr.size else 0.0
@@ -416,9 +432,9 @@ def verify_bounds(sol: SinkhornSolution, m: CostModel, r: DiscreteMeasure,
         alpha_upper_violation=viol(bal.alpha[ix] - a_hi[ix]),
         beta_lower_violation=viol(b_lo[iy] - bal.beta[iy]),
         beta_upper_violation=viol(bal.beta[iy] - b_hi[iy]),
-        plan_lower_violation=viol(p_lo - bal.plan),
-        plan_upper_violation=viol(bal.plan - p_hi),
-        vacuous=not all(np.all(np.isfinite(b)) for b in on_support),
+        plan_lower_violation=viol(np.array(lower)),
+        plan_upper_violation=viol(np.array(upper)),
+        vacuous=not finite,
     )
 
 

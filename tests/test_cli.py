@@ -4,6 +4,7 @@ import gc
 import importlib
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -346,6 +347,28 @@ def _write_instance(tmp_path, r, s, cost):
         paths[name] = str(tmp_path / f"{name}.json")
         Path(paths[name]).write_text(json.dumps(obj))
     return paths
+
+
+_NAN_R = {"labels": ["a0", "a1", "a2"], "weights": [math.nan, 0.5, 0.5],
+          "coords": [0.0, 1.0, 2.0]}
+_OK_S = {"labels": ["a0", "a1", "a2"], "weights": [0.5, 0.25, 0.25],
+         "coords": [0.0, 1.0, 2.0]}
+
+
+@pytest.mark.parametrize("r, cost, error, message", [
+    (_NAN_R, {"family": "bounded", "p": 1}, "MassMismatch", "atom 'a0' has weight nan"),
+    (_OK_S, {"family": "bounded", "cost": [[0, 1, 2], [1, 0, math.nan], [2, 1, 0]]},
+     "InvalidFamilyParams", "finite cost entries"),
+    (_OK_S, {"family": "custom", "cost": [[0, 1, 2], [1, 0, math.nan], [2, 1, 0]]},
+     "InvalidFamilyParams", "NaN entries"),
+], ids=["nan_weight", "bounded_nan_cost", "custom_nan_cost"])
+def test_non_finite_input_exit_2(tmp_path, capsys, r, cost, error, message):
+    paths = _write_instance(tmp_path, r, _OK_S, cost)
+    code = main(["solve", *_base(paths, "--lambda", "1", "--out", str(tmp_path / "x.json"))])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == error and message in err["message"]
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_ot_exact_keeps_every_atom_of_a_long_tail(tmp_path):

@@ -1,9 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import erot
+from erot.costs import (
+    BLOCK_CELLS,
+    SANDWICH_TOL,
+    CostModel,
+    DominatingCollection,
+    Family,
+    row_blocks,
+)
 from erot.errors import (
     InvalidFamilyParams,
     MissingCoordinates,
@@ -262,3 +271,240 @@ class TestConditionChecks:
         _, prof = erot.build_cost({"family": "bounded", "p": 1}, sp, sp, 1.0)
         if erot.check_plan_conditions(geo, geo, prof).verdict == "Pass":
             assert erot.check_value_conditions(geo, geo, prof).verdict == "Pass"
+
+
+# ---------------------------------------------------------------------------
+# blocked table checks against the whole-table expressions they replaced
+
+
+def _dense_sandwich_ok(cost, dom):
+    """The whole-table sandwich check, kept as the oracle."""
+    tol = SANDWICH_TOL
+    if np.any(dom.cX_minus > dom.cX_plus + tol) or np.any(dom.cY_minus > dom.cY_plus + tol):
+        return False
+    lo = dom.cX_minus[:, None] + dom.cY_minus[None, :]
+    hi = dom.cX_plus[:, None] + dom.cY_plus[None, :]
+    return not (np.any(lo > cost + tol) or np.any(cost > hi + tol))
+
+
+def _blocked_sandwich_ok(cost, dom):
+    sx, sy = erot.integer_grid(cost.shape[0]), erot.integer_grid(cost.shape[1])
+    try:
+        CostModel(sx, sy, cost, dom, None, Family.CUSTOM)
+    except InvalidFamilyParams:
+        return False
+    return True
+
+
+# 300 x 250 cells: several row blocks, the last one partial
+NX, NY = 300, 250
+
+
+def test_oracle_shape_has_a_partial_last_block():
+    blocks = list(row_blocks(NX, NY))
+    sizes = [b.stop - b.start for b in blocks]
+    assert len(blocks) > 2 and sizes[-1] < sizes[0]
+    assert max(sizes) * NY <= BLOCK_CELLS and sum(sizes) == NX
+
+
+KINDS = ["random", "flat", "tight_lower", "tight_upper"]
+
+
+class TestBlockedSandwich:
+    def _inside(self, kind):
+        rng = np.random.default_rng(21)
+        if kind != "random":
+            # constant bounds, as in the bounded family; a "tight" kind gives
+            # the last row the tightest lower or upper bound of its block
+            dom = DominatingCollection(np.full(NX, -1.0), np.full(NX, 1.1),
+                                       np.full(NY, -0.3), np.full(NY, 0.7))
+            if kind == "tight_lower":
+                dom.cX_minus[-1] = -0.1
+            if kind == "tight_upper":
+                dom.cX_plus[-1] = 0.2
+        else:
+            dom = DominatingCollection(
+                cX_minus=rng.uniform(-2, 0, NX), cX_plus=rng.uniform(0, 2, NX),
+                cY_minus=rng.uniform(-2, 0, NY), cY_plus=rng.uniform(0, 2, NY),
+            )
+        lo = dom.cX_minus[:, None] + dom.cY_minus[None, :]
+        hi = dom.cX_plus[:, None] + dom.cY_plus[None, :]
+        return dom, lo, hi, lo + rng.uniform(0, 1, (NX, NY)) * (hi - lo)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("cell", [(0, 0), (NX - 1, NY - 1), (NX - 2, 7)])
+    def test_verdicts_at_the_tolerance_edge(self, cell, kind):
+        dom, lo, hi, cost = self._inside(kind)
+        edge_hi, edge_lo = hi[cell] + SANDWICH_TOL, lo[cell] - SANDWICH_TOL
+        values = [hi[cell], edge_hi, lo[cell], edge_lo]
+        for v in (edge_hi, edge_lo):
+            values += [np.nextafter(v, np.inf), np.nextafter(v, -np.inf),
+                       v + 1e-3 * SANDWICH_TOL, v - 1e-3 * SANDWICH_TOL]
+        verdicts = []
+        for v in values:
+            c = cost.copy()
+            c[cell] = v
+            verdicts.append(_dense_sandwich_ok(c, dom))
+            assert _blocked_sandwich_ok(c, dom) == verdicts[-1], v
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_violation_in_the_last_partial_block(self, kind):
+        dom, lo, hi, cost = self._inside(kind)
+        assert _blocked_sandwich_ok(cost, dom) and _dense_sandwich_ok(cost, dom)
+        for row in (NX - 1, list(row_blocks(NX, NY))[-1].start):
+            for v in (hi[row, NY - 1] + 1e-6, lo[row, NY - 1] - 1e-6):
+                c = cost.copy()
+                c[row, NY - 1] = v
+                assert not _dense_sandwich_ok(c, dom)
+                assert not _blocked_sandwich_ok(c, dom)
+
+    def test_secondary_collection_is_checked_per_block(self):
+        dom, lo, hi, cost = self._inside("random")
+        tight = replace(dom, cX_plus=dom.cX_minus.copy(), cY_plus=dom.cY_minus.copy())
+        sx, sy = erot.integer_grid(NX), erot.integer_grid(NY)
+        CostModel(sx, sy, cost, dom, dom, Family.CUSTOM)
+        with pytest.raises(InvalidFamilyParams, match="sandwich"):
+            CostModel(sx, sy, cost, dom, tight, Family.CUSTOM)
+
+
+class TestBlockedSymmetry:
+    def _model(self, c):
+        sp = erot.integer_grid(c.shape[0])
+        wide = DominatingCollection(np.full(c.shape[0], -10.0), np.full(c.shape[0], 10.0),
+                                    np.zeros(c.shape[1]), np.zeros(c.shape[1]))
+        return CostModel(sp, sp, c, wide, None, Family.CUSTOM)
+
+    @pytest.mark.parametrize("cell", [(NX - 1, 0), (0, NX - 1), (NX - 3, NX - 2), (150, 40)])
+    def test_verdicts_at_the_allclose_edge(self, cell):
+        rng = np.random.default_rng(22)
+        a = rng.uniform(-2, 2, (NX, NX))
+        base = 0.5 * (a + a.T)
+        i, j = cell
+        edge = 1e-12 + 1e-5 * abs(base[j, i])
+        verdicts = []
+        for f in (0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0):
+            for v in (base[j, i] + f * edge, base[j, i] - f * edge):
+                for v in (v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)):
+                    c = base.copy()
+                    c[i, j] = v
+                    verdicts.append(np.allclose(c, c.T, atol=1e-12))
+                    assert self._model(c).is_symmetric == verdicts[-1], (f, v)
+        assert True in verdicts and False in verdicts
+
+    def test_different_spaces_or_rectangular_are_not_symmetric(self):
+        sp3, sp4 = erot.integer_grid(3), erot.integer_grid(4)
+        m, _ = erot.build_cost({"family": "custom", "cost": np.zeros((3, 4))}, sp3, sp4, 1.0)
+        assert not m.is_symmetric
+        other = erot.IndexedSpace(("x", "y", "z"))
+        m, _ = erot.build_cost({"family": "custom", "cost": np.zeros((3, 3))}, sp3, other, 1.0)
+        assert not m.is_symmetric
+
+
+class TestBlockedTables:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("ord", [None, 1, np.inf])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 1.5])
+    def test_pairwise_powers_equal_the_dense_table(self, d, ord, p):
+        rng = np.random.default_rng(23)
+        cx, cy = rng.normal(size=(NX, d)) * 3, rng.normal(size=(NY, d)) * 3
+        sx = erot.IndexedSpace(tuple(range(NX)), coords=cx)
+        sy = erot.IndexedSpace(tuple(range(NY)), coords=cy)
+        m, _ = erot.build_cost({"family": "bounded", "p": p, "norm_ord": ord}, sx, sy, 1.0)
+        dense = np.linalg.norm(cx[:, None, :] - cy[None, :, :], ord=ord, axis=2) ** p
+        assert np.array_equal(m.cost, dense)
+
+    def test_separability_kappa_is_the_dense_max(self):
+        rng = np.random.default_rng(24)
+        sx = erot.IndexedSpace(tuple(range(NX)), coords=rng.normal(size=(NX, 2)))
+        sy = erot.IndexedSpace(tuple(range(NY)), coords=rng.normal(size=(NY, 2)) + 1.0)
+        dx = np.abs(sx.coords).sum(axis=1)
+        dy = np.abs(sy.coords).sum(axis=1)
+        cost = np.abs(sx.coords[:, None, :] - sy.coords[None, :, :]).sum(axis=2)
+        kappa = float(np.max(dx[:, None] + dy[None, :] - cost))
+        spec = {"family": "separability", "anchor": [0.0, 0.0]}
+        erot.build_cost({**spec, "kappa_max": kappa}, sx, sy, 1.0)
+        with pytest.raises(SeparabilityViolated):
+            erot.build_cost({**spec, "kappa_max": np.nextafter(kappa, -np.inf)}, sx, sy, 1.0)
+
+    def test_shift_equals_the_dense_table(self):
+        rng = np.random.default_rng(25)
+        sx, sy = erot.integer_grid(NX), erot.integer_grid(NY)
+        m, _ = erot.build_cost({"family": "custom", "cost": rng.normal(size=(NX, NY))},
+                               sx, sy, 1.0)
+        r = erot.validate_measure(np.full(NX, 1 / NX), sx)
+        s = erot.validate_measure(np.full(NY, 1 / NY), sy)
+        shifted, _ = erot.shift_nonnegative(m, r, s)
+        dom = m.dom_primary
+        dense = m.cost - dom.cX_minus[:, None] - dom.cY_minus[None, :]
+        assert np.array_equal(shifted.cost, dense)
+
+
+class TestNonFiniteCosts:
+    def test_nan_entry_in_every_family(self):
+        sp = erot.integer_grid(3)
+        table = [[0, 1, 2], [1, 0, math.nan], [2, 1, 0]]
+        for family in ("bounded", "custom"):
+            with pytest.raises(InvalidFamilyParams):
+                erot.build_cost({"family": family, "cost": table}, sp, sp, 1.0)
+        nan_coords = erot.IndexedSpace(("a", "b", "c"), coords=[0.0, math.nan, 2.0])
+        for spec in (
+            {"family": "bounded", "p": 1},
+            {"family": "metric_power", "p": 2, "anchor": 0.0},
+            {"family": "norm_power", "p": 1, "anchor": 0.0, "setting": "bounded"},
+            {"family": "separability", "anchor": 0.0},
+        ):
+            with pytest.raises(InvalidFamilyParams):
+                erot.build_cost(spec, nan_coords, nan_coords, 1.0)
+
+    def test_nan_in_the_last_block_of_a_custom_table(self):
+        cost = np.random.default_rng(26).uniform(0, 1, (NX, NY))
+        cost[NX - 1, NY - 1] = math.nan
+        with pytest.raises(InvalidFamilyParams, match="NaN"):
+            erot.build_cost({"family": "custom", "cost": cost},
+                            erot.integer_grid(NX), erot.integer_grid(NY), 1.0)
+
+    def test_bounded_family_refuses_infinity(self):
+        sp = erot.integer_grid(3)
+        table = [[0, 1, 2], [1, 0, math.inf], [2, 1, 0]]
+        with pytest.raises(InvalidFamilyParams, match="finite"):
+            erot.build_cost({"family": "bounded", "cost": table}, sp, sp, 1.0)
+        # a custom table may hold +inf: its X-variation is then unbounded
+        m, _ = erot.build_cost({"family": "custom", "cost": table}, sp, sp, 1.0)
+        assert not m.bounded_x_variation
+
+
+class TestCustomDominatingVectors:
+    SP = erot.integer_grid(3)
+    TABLE = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+
+    def _dom(self, **overrides):
+        dom = {"cX_minus": [0.0] * 3, "cX_plus": [1.0] * 3,
+               "cY_minus": [0.0] * 3, "cY_plus": [1.0] * 3}
+        return {"family": "custom", "cost": self.TABLE, "dom": {**dom, **overrides}}
+
+    def test_accepted_when_well_formed(self):
+        erot.build_cost(self._dom(), self.SP, self.SP, 1.0)
+
+    @pytest.mark.parametrize("key", ["cX_minus", "cX_plus", "cY_minus", "cY_plus"])
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    def test_wrong_length_refused(self, key, length):
+        spec = self._dom(**{key: [0.0 if key.endswith("minus") else 1.0] * length})
+        with pytest.raises(InvalidFamilyParams, match="lengths"):
+            erot.build_cost(spec, self.SP, self.SP, 1.0)
+
+    def test_wrong_length_on_a_multi_block_table(self):
+        # a length-1 vector would slice to an empty block past the first one
+        sx, sy = erot.integer_grid(NX), erot.integer_grid(NY)
+        spec = {"family": "custom", "cost": np.zeros((NX, NY)),
+                "dom": {"cX_minus": [-1.0], "cX_plus": [1.0],
+                        "cY_minus": np.zeros(NY), "cY_plus": np.zeros(NY)}}
+        with pytest.raises(InvalidFamilyParams, match="lengths"):
+            erot.build_cost(spec, sx, sy, 1.0)
+
+    @pytest.mark.parametrize("key", ["cX_minus", "cX_plus", "cY_minus", "cY_plus"])
+    def test_nan_refused(self, key):
+        base = 0.0 if key.endswith("minus") else 1.0
+        spec = self._dom(**{key: [base, math.nan, base]})
+        with pytest.raises(InvalidFamilyParams, match="NaN"):
+            erot.build_cost(spec, self.SP, self.SP, 1.0)

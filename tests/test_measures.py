@@ -55,6 +55,14 @@ class TestValidateMeasure:
         with pytest.raises(NegativeWeight):
             erot.validate_measure([-0.1, 1.1], sp)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_weight_naming_the_atom(self, bad):
+        sp = erot.IndexedSpace(("a", "b", "c"))
+        with pytest.raises(MassMismatch, match=f"atom 'b' has weight {bad}"):
+            erot.validate_measure([0.5, bad, 0.5], sp)
+        with pytest.raises(MassMismatch, match="atom 'a'"):
+            erot.validate_measure([bad, 0.5, 0.5], sp, renormalize=False)
+
     def test_rejects_wrong_length(self):
         sp = erot.integer_grid(3)
         with pytest.raises(SpaceMismatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -394,6 +395,30 @@ class TestMutualInformation:
         with pytest.raises(MarginalMismatch):
             erot.mutual_information(bad, u, erot.validate_measure([0.3, 0.7], sp))
 
+    @staticmethod
+    def _dense(pi, r, s):
+        """The whole-table masked sum, kept as the oracle."""
+        prod = r.weights[:, None] * s.weights[None, :]
+        mask = pi > 0
+        return float(np.sum(pi[mask] * np.log(pi[mask] / prod[mask])))
+
+    def test_blocked_sum_matches_the_dense_sum(self):
+        # 300 x 250 plans span several row blocks, the last one partial
+        rng = np.random.default_rng(27)
+        r, s, m = _random_instance(rng, 300, 250)
+        w = rng.dirichlet(np.ones(300))
+        w[::7] = 0.0
+        r0 = erot.validate_measure(w / w.sum(), r.space)
+        plans = [(erot.solve(r, s, m, 0.5).plan, r, s),
+                 (erot.solve(r0, s, m, 0.2).plan, r0, s),
+                 (np.diag(r0.weights), r0, r0)]
+        for pi, a, b in plans:
+            dense = self._dense(pi, a, b)
+            assert dense > 0.1
+            assert erot.mutual_information(pi, a, b) == pytest.approx(dense, rel=1e-13, abs=0)
+        # a diagonal plan's information is the entropy of its marginal
+        assert self._dense(*plans[-1]) == pytest.approx(erot.shannon_entropy(r0), rel=1e-13)
+
 
 class TestDivergence:
     def test_self_divergence_zero(self):
@@ -464,6 +489,78 @@ class TestBounds:
             report = erot.verify_bounds(sol, m, r, r)
         assert report.vacuous is vacuous
         assert report.to_dict()["vacuous"] is vacuous
+
+    @staticmethod
+    def _dense(sol, m, r, s):
+        """The whole-table bound check, kept as the oracle."""
+        lam = sol.lam
+        bal = sol.renormalized(erot.Normalization.BALANCED, r, s)
+        dom = m.dom_primary
+        rw, sw = r.weights, s.weights
+        ix, iy = rw > 0, sw > 0
+        with np.errstate(over="ignore"):
+            eX = np.exp((dom.cX_plus - dom.cX_minus) / lam)
+            eY = np.exp((dom.cY_plus - dom.cY_minus) / lam)
+            mean_plus_X, mean_plus_Y = dom.cX_plus @ rw, dom.cY_plus @ sw
+            half_minus = 0.5 * (dom.cX_minus @ rw + dom.cY_minus @ sw)
+            eX_r, eY_s = eX @ rw, eY @ sw
+            a_lo = dom.cX_minus - mean_plus_X + half_minus - lam * np.log(eY_s)
+            a_hi = dom.cX_plus + mean_plus_Y - half_minus
+            b_lo = dom.cY_minus - mean_plus_Y + half_minus - lam * np.log(eX_r)
+            b_hi = dom.cY_plus + mean_plus_X - half_minus
+            prod = rw[:, None] * sw[None, :]
+            p_lo = prod / (eX[:, None] * eY[None, :] * eX_r**2 * eY_s**2)
+            p_hi = prod * eX[:, None] * eY[None, :] * eX_r * eY_s
+        on_support = [a_lo[ix], a_hi[ix], b_lo[iy], b_hi[iy],
+                      p_lo[np.ix_(ix, iy)], p_hi[np.ix_(ix, iy)]]
+
+        def viol(arr):
+            return float(max(0.0, np.max(arr))) if arr.size else 0.0
+
+        return erot.BoundReport(
+            alpha_lower_violation=viol(a_lo[ix] - bal.alpha[ix]),
+            alpha_upper_violation=viol(bal.alpha[ix] - a_hi[ix]),
+            beta_lower_violation=viol(b_lo[iy] - bal.beta[iy]),
+            beta_upper_violation=viol(bal.beta[iy] - b_hi[iy]),
+            plan_lower_violation=viol(p_lo - bal.plan),
+            plan_upper_violation=viol(bal.plan - p_hi),
+            vacuous=not all(np.all(np.isfinite(b)) for b in on_support),
+        ).to_dict()
+
+    @staticmethod
+    def _last_cell(plan, value):
+        plan = plan.copy()
+        plan[-1, -1] = value
+        return plan
+
+    @pytest.mark.parametrize("lam, edit, broken", [
+        (1.0, lambda p: p, ()),
+        (1.0, lambda p: 1e3 * p, ("plan_upper",)),
+        (1.0, lambda p: 1e-4 * p, ("plan_lower",)),
+        (1.0, lambda p: TestBounds._last_cell(p, 0.0), ("plan_lower",)),
+        (1.0, lambda p: TestBounds._last_cell(p, 1.0), ("plan_upper",)),
+        (0.0025, lambda p: p, ()),
+    ], ids=["solved", "scaled_up", "scaled_down", "last_cell_zero", "last_cell_one", "vacuous"])
+    def test_blocked_report_equals_the_dense_report(self, lam, edit, broken):
+        # 300 x 250 cells span several row blocks, the last one partial;
+        # zero-mass atoms on both sides.  At lam = 0.0025
+        # exp(1/(2 lam))**4 overflows and the report is vacuous
+        rng = np.random.default_rng(28)
+        spx = erot.IndexedSpace(tuple(range(300)), coords=np.linspace(0, 1, 300))
+        spy = erot.IndexedSpace(tuple(range(250)), coords=np.linspace(0, 1, 250))
+        w, v = rng.dirichlet(np.ones(300)), rng.dirichlet(np.ones(250))
+        w[::11], v[3::13] = 0.0, 0.0
+        r = erot.validate_measure(w / w.sum(), spx)
+        s = erot.validate_measure(v / v.sum(), spy)
+        m, _ = erot.build_cost({"family": "bounded", "p": 1}, spx, spy, lam)
+        sol = erot.solve(r, s, m, lam)
+        sol = dataclasses.replace(sol, plan=edit(sol.plan))
+        with np.errstate(invalid="ignore"):
+            dense = self._dense(sol, m, r, s)
+            report = erot.verify_bounds(sol, m, r, s).to_dict()
+        assert report == dense
+        assert {k for k in ("plan_lower", "plan_upper") if dense[k] > 0} == set(broken)
+        assert dense["vacuous"] == (lam < 0.01)
 
 
 class TestExactOT:

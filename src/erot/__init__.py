@@ -25,7 +25,6 @@ from .measures import (
 from .costs import (
     ConditionReport,
     CostModel,
-    Family,
     WeightProfile,
     build_cost,
     check_plan_conditions,

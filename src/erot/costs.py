@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -47,14 +46,6 @@ def row_blocks(n_rows: int, row_cells: int):
     step = max(1, BLOCK_CELLS // max(row_cells, 1))
     for start in range(0, n_rows, step):
         yield slice(start, min(start + step, n_rows))
-
-
-class Family(Enum):
-    BOUNDED = "bounded"
-    METRIC_POWER = "metric_power"
-    SEMI_BOUNDED_METRIC_POWER = "semi_bounded_metric_power"
-    SEPARABILITY_METRIC = "separability_metric"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -97,26 +88,22 @@ class DominatingCollection:
         if self.cX_minus.shape != self.cX_plus.shape or self.cY_minus.shape != self.cY_plus.shape:
             raise InvalidFamilyParams("dominating function lengths do not match each other")
 
-    def x_variation(self) -> float:
-        return float(np.max(self.cX_plus - self.cX_minus))
-
-    def y_variation(self) -> float:
-        return float(np.max(self.cY_plus - self.cY_minus))
-
 
 @dataclass(frozen=True)
 class CostModel:
+    """A cost table on X x Y and the dominating collections that sandwich
+    it, checked cell by cell at construction.  An entry may be +inf, a
+    forbidden cell; NaN and -inf entries are refused."""
+
     space_X: IndexedSpace
     space_Y: IndexedSpace
     cost: np.ndarray
     dom_primary: DominatingCollection
     dom_secondary: DominatingCollection | None
-    family_tag: Family
     # asymptotic shapes of the dominating data, keyed by weight name
     growth: dict = field(default_factory=dict)
     # whether sup_x (cX+ - cX-)(x) stays finite on the full countable space
     bounded_x_variation: bool = True
-    bounded_y_variation: bool = True
 
     def __post_init__(self):
         nx, ny = self.space_X.size, self.space_Y.size
@@ -132,10 +119,14 @@ class CostModel:
                 raise InvalidFamilyParams("dominating functions violate c- <= c+")
         # the exhaustive sandwich check, one row block at a time; a NaN entry
         # passes every comparison, so each block's minimum is checked for it
+        # (and for -inf, which a table's own bounds would let through)
         for rows in row_blocks(nx, ny):
             c = self.cost[rows]
-            if np.isnan(c.min()):
+            low = c.min()
+            if np.isnan(low):
                 raise InvalidFamilyParams("cost table has NaN entries")
+            if low == -np.inf:
+                raise InvalidFamilyParams("cost table has -inf entries")
             for dom in doms:
                 lo = np.add.outer(dom.cX_minus[rows], dom.cY_minus)
                 hi = np.add.outer(dom.cX_plus[rows], dom.cY_plus)
@@ -170,16 +161,15 @@ class CostModel:
 
 @dataclass(frozen=True)
 class WeightProfile:
-    """C/e/k weight functions from one (or two) dominating collections."""
+    """C/e/k weight functions from one (or two) dominating collections, with
+    the model's growth descriptors and X-variation flag the checks read."""
 
     C_X: WeightFunction
     C_Y: WeightFunction
     e_X: WeightFunction
     e_Y: WeightFunction
-    lam: float
     growth: dict
     bounded_x_variation: bool
-    bounded_y_variation: bool
     # secondary (tilde) collection weights; equal the primary when the family
     # doesn't distinguish them
     Ct_X: WeightFunction | None = None
@@ -212,10 +202,8 @@ def _profile_from(model: CostModel, lam: float) -> WeightProfile:
         C_Y=C_Y,
         e_X=e_X,
         e_Y=e_Y,
-        lam=lam,
         growth=model.growth,
         bounded_x_variation=model.bounded_x_variation,
-        bounded_y_variation=model.bounded_y_variation,
         Ct_X=Ct_X,
         Ct_Y=Ct_Y,
         et_X=et_X,
@@ -289,13 +277,18 @@ def _build_bounded(spec, sx, sy, lam):
     C = float(cost.max())
     if not math.isfinite(C):
         raise InvalidFamilyParams(f"bounded family needs finite cost entries (max c = {C})")
+    return _bounded_model(sx, sy, cost, C)
+
+
+def _bounded_model(sx, sy, cost, C):
+    """The model of a cost in [0, C], dominated by 0 <= c <= C/2 + C/2."""
     dom = DominatingCollection(
         cX_minus=np.zeros(sx.size),
         cX_plus=np.full(sx.size, C / 2.0),
         cY_minus=np.zeros(sy.size),
         cY_plus=np.full(sy.size, C / 2.0),
     )
-    return CostModel(sx, sy, cost, dom, None, Family.BOUNDED, _growth(), True, True)
+    return CostModel(sx, sy, cost, dom, None, _growth())
 
 
 def _build_metric_power(spec, sx, sy, lam):
@@ -312,11 +305,7 @@ def _build_metric_power(spec, sx, sy, lam):
     cost = _pairwise_dist(sx, sy, ord, float(p))
 
     if setting == "bounded":
-        C = float((dx.max() + dy.max()) ** p)
-        dom = DominatingCollection(
-            np.zeros(sx.size), np.full(sx.size, C / 2), np.zeros(sy.size), np.full(sy.size, C / 2)
-        )
-        return CostModel(sx, sy, cost, dom, None, Family.METRIC_POWER, _growth(), True, True)
+        return _bounded_model(sx, sy, cost, float((dx.max() + dy.max()) ** p))
 
     if setting == "semi_bounded":
         # X is the bounded side; Y may be unbounded
@@ -329,14 +318,10 @@ def _build_metric_power(spec, sx, sy, lam):
         )
         if p > 1:
             gy = Growth(0.0, 2.0 * p * R / lam, p - 1.0)
-            y_bounded = False
         else:
             gy = CONST_GROWTH
-            y_bounded = True
         growth = _growth(C_Y=Growth(float(p)), e_Y=gy, Ct_Y=Growth(float(p)), et_Y=gy)
-        return CostModel(
-            sx, sy, cost, dom, None, Family.SEMI_BOUNDED_METRIC_POWER, growth, True, y_bounded
-        )
+        return CostModel(sx, sy, cost, dom, None, growth)
 
     if setting == "unbounded":
         if int(p) != p:
@@ -375,9 +360,7 @@ def _build_metric_power(spec, sx, sy, lam):
         e_power = Growth(0.0, gam, p - 1 + eps)
         growth = _growth(C_X=Growth(deg_hi), C_Y=Growth(float(p)), e_X=e_holder, e_Y=e_power,
                          Ct_X=Growth(float(p)), Ct_Y=Growth(deg_hi), et_X=e_power, et_Y=e_holder)
-        return CostModel(
-            sx, sy, cost, primary, secondary, Family.METRIC_POWER, growth, False, False
-        )
+        return CostModel(sx, sy, cost, primary, secondary, growth, False)
 
     raise InvalidFamilyParams(f"unknown metric power setting {setting!r}")
 
@@ -404,7 +387,7 @@ def _build_separability(spec, sx, sy, lam):
         cY_plus=dy,
     )
     growth = _growth(C_X=Growth(1.0), C_Y=Growth(1.0), Ct_X=Growth(1.0), Ct_Y=Growth(1.0))
-    return CostModel(sx, sy, cost, dom, None, Family.SEPARABILITY_METRIC, growth, True, True)
+    return CostModel(sx, sy, cost, dom, None, growth)
 
 
 def _build_custom(spec, sx, sy, lam):
@@ -425,17 +408,8 @@ def _build_custom(spec, sx, sy, lam):
             cY_minus=np.asarray(dom_spec["cY_minus"], dtype=float),
             cY_plus=np.asarray(dom_spec["cY_plus"], dtype=float),
         )
-    return CostModel(
-        sx,
-        sy,
-        cost,
-        dom,
-        None,
-        Family.CUSTOM,
-        _growth(),
-        dom.x_variation() < np.inf,
-        dom.y_variation() < np.inf,
-    )
+    bounded_x = bool(np.max(dom.cX_plus - dom.cX_minus) < np.inf)
+    return CostModel(sx, sy, cost, dom, None, _growth(), bounded_x)
 
 
 def shift_nonnegative(m: CostModel, r: DiscreteMeasure, s: DiscreteMeasure):

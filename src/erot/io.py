@@ -120,12 +120,9 @@ def load_measure(path) -> DiscreteMeasure:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigParse(f"measure file {path} needs 'labels' and 'weights'") from exc
     coords = raw.get("coords")
-    if coords is not None:
-        coords = np.asarray(coords, dtype=float)
-        if coords.ndim == 1:
-            coords = coords[:, None]
-    elif all(isinstance(l, (int, float)) for l in labels):
-        coords = np.asarray(labels, dtype=float)[:, None]
+    # numeric labels double as coordinates; IndexedSpace shapes them (n, 1)
+    if coords is None and all(isinstance(l, (int, float)) for l in labels):
+        coords = labels
     space = IndexedSpace(labels=labels, coords=coords)
     return validate_measure(weights, space, tail=_parse_tail(raw.get("tail"), path))
 

@@ -208,14 +208,12 @@ def truncated_measure(
     This is the constructor for ground-truth measures with analytic tails:
     the truncation is chosen by the caller so that the discarded tail mass is
     negligible (< 1e-12 of the total for the shipped geometric-type
-    families), and the remaining mass is simply rescaled to 1.
+    families), and the remaining mass is rescaled to 1 and validated.
     """
     w = np.asarray(unnormalized, dtype=float)
-    if w.shape != (space.size,):
-        raise SpaceMismatch("weight vector does not match space size")
     if np.any(w < 0):
         raise NegativeWeight("negative weight in truncation")
-    return DiscreteMeasure(space, w / w.sum(), tail=tail)
+    return validate_measure(w / w.sum(), space, tail=tail)
 
 
 def geometric_measure(space: IndexedSpace, q: float) -> DiscreteMeasure:

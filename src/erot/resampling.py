@@ -19,6 +19,7 @@ from .errors import ConfigParse, EmptyInput, NonUniquePotentials
 from .measures import Design, DiscreteMeasure, empirical_measure
 from .sinkhorn import SolveConfig, exact_ot_small, sinkhorn_divergence, solve
 from .sensitivity import (
+    _variance_under,
     build_operators,
     divergence_variance,
     functional_covariance,
@@ -263,7 +264,7 @@ def vanishing_lambda_experiment(
     r: DiscreteMeasure, s: DiscreteMeasure, m: CostModel,
     sample_sizes=(500, 2000, 8000), lambda_coef: float = 1.0,
     lambda_exponent: float = -0.6, replications: int = 200, seed: int = 0,
-    threads: int = 1, cfg: SolveConfig = SolveConfig(),
+    threads: int = 1,
 ) -> VanishingLambdaReport:
     """Consistency of the plug-in variance under a vanishing regularization
     schedule lam(n) = coef * n**exponent, on an instance whose unregularized
@@ -274,7 +275,8 @@ def vanishing_lambda_experiment(
     transport oracle; the standardized value statistic at the largest n is
     compared to N(0, Var_r[alpha0]).  Each replication warm-starts from the
     population solved at lam_n, itself warm-started from the exact
-    potentials.  `threads` affects nothing.
+    potentials; every solve takes the default SolveConfig.  `threads`
+    affects nothing.
     """
     if len(sample_sizes) == 0 or min(sample_sizes) < 2:
         raise ConfigParse("sample_sizes must be a non-empty list of sizes >= 2")
@@ -300,20 +302,17 @@ def vanishing_lambda_experiment(
         raise NonUniquePotentials(
             "unregularized potentials are not unique on this instance"
         )
-    var0 = float(
-        (ot.alpha0 - ot.alpha0 @ r.weights) ** 2 @ r.weights
-    )
+    var0 = _variance_under(r.weights, ot.alpha0)
     trace = []
     size_seeds = np.random.SeedSequence(seed).spawn(len(sample_sizes))
     for n, lam, size_seed in zip(sample_sizes, lambdas, size_seeds):
-        pop = solve(r, s, m, lam, cfg, warm_start=(ot.alpha0, ot.beta0))
+        pop = solve(r, s, m, lam, warm_start=(ot.alpha0, ot.beta0))
 
         def one(rng, n=n, lam=lam, warm=(pop.alpha, pop.beta)):
             """(plug-in variance Var_{r_hat}[alpha], standardized value draw)"""
             r_hat = _sample_from(r, n, rng)
-            sol = solve(r_hat, s, m, lam, cfg, warm_start=warm)
-            mean = sol.alpha @ r_hat.weights
-            var_hat = float((sol.alpha - mean) ** 2 @ r_hat.weights)
+            sol = solve(r_hat, s, m, lam, warm_start=warm)
+            var_hat = _variance_under(r_hat.weights, sol.alpha)
             return var_hat, np.sqrt(n) * (sol.value - ot.value)
 
         var_hats, last_draws = _run_replications(one, replications, size_seed).T

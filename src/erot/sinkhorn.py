@@ -48,7 +48,9 @@ import numpy as np
 from .costs import CostModel, WeightProfile, row_blocks
 from .errors import (
     AsymmetricSetup,
+    InvalidFamilyParams,
     MarginalMismatch,
+    NegativeWeight,
     NonConvergence,
     TooLarge,
 )
@@ -59,6 +61,10 @@ DEFAULT_MAX_ITER = 100_000
 # a Sinkhorn scaling vector with an entry outside [1/SCALING_BOUND,
 # SCALING_BOUND] is absorbed into its potential and the kernel rebuilt
 SCALING_BOUND = 1e50
+# l1 marginal error of a plan beyond which mutual_information refuses it
+MI_MARGINAL_TOL = 1e-8
+# float tolerance of each inequality in vanishing_reg_gap's chain
+GAP_TOL = 1e-8
 
 
 class Normalization(Enum):
@@ -90,17 +96,21 @@ class SinkhornSolution:
                      s: DiscreteMeasure) -> "SinkhornSolution":
         if normalization == self.normalization:
             return self
-        if normalization == Normalization.BALANCED:
-            shift = 0.5 * (self.beta @ s.weights - self.alpha @ r.weights)
-        else:
-            y1 = int(np.argmax(s.weights > 0))
-            shift = self.beta[y1]
+        shift = _gauge_shift(normalization, self.alpha, self.beta, r.weights, s.weights)
         return replace(
             self,
             alpha=self.alpha + shift,
             beta=self.beta - shift,
             normalization=normalization,
         )
+
+
+def _gauge_shift(normalization: Normalization, alpha, beta, rw, sw) -> float:
+    """The t with (alpha + t, beta - t) in the gauge: <alpha, r> = <beta, s>
+    (balanced), or beta = 0 at the first positive-mass atom of s."""
+    if normalization == Normalization.BALANCED:
+        return 0.5 * (beta @ sw - alpha @ rw)
+    return beta[np.argmax(sw > 0)]
 
 
 def _log_update(log_w: np.ndarray, pot: np.ndarray, cost: np.ndarray, lam: float,
@@ -192,6 +202,8 @@ def solve(
     if lam <= 0:
         raise ValueError("lam must be positive")
     rw, sw = r.weights, s.weights
+    if not (rw.min() >= 0 and sw.min() >= 0):  # false for a NaN weight too
+        raise NegativeWeight("solve needs nonnegative, non-NaN weights in r and s")
     ix = np.flatnonzero(rw > 0)
     iy = np.flatnonzero(sw > 0)
     off_x = np.flatnonzero(rw == 0)
@@ -271,10 +283,7 @@ def solve(
         c_off = m.cost[np.ix_(ix, off_y)]
         beta_full[off_y] = _log_update(log_r, alpha, c_off, lam, 0, c_off)
 
-    if cfg.normalization == Normalization.BALANCED:
-        shift = 0.5 * (beta_full @ sw - alpha_full @ rw)
-    else:
-        shift = beta_full[iy[0]]
+    shift = _gauge_shift(cfg.normalization, alpha_full, beta_full, rw, sw)
     alpha_full += shift
     beta_full -= shift
 
@@ -289,6 +298,9 @@ def solve(
         plan[np.ix_(ix, iy)] = work
     value = float(alpha_full @ rw + beta_full @ sw)
     cost_part = float(np.einsum("ij,ij->", c, work))
+    if np.isnan(cost_part):
+        # an infinite cost times its cell's zero mass; cells without mass add nothing
+        cost_part = float(np.einsum("ij,ij->", np.where(work > 0, c, 0.0), work))
     return SinkhornSolution(
         alpha=alpha_full,
         beta=beta_full,
@@ -305,15 +317,14 @@ def solve(
     )
 
 
-def mutual_information(pi: np.ndarray, r: DiscreteMeasure, s: DiscreteMeasure,
-                       marginal_tol: float = 1e-8) -> float:
+def mutual_information(pi: np.ndarray, r: DiscreteMeasure, s: DiscreteMeasure) -> float:
     """KL divergence of the plan from the product of its prescribed marginals,
     with the 0 log 0 = 0 convention; summed one row block at a time."""
     row_err = float(np.abs(pi.sum(axis=1) - r.weights).sum())
     col_err = float(np.abs(pi.sum(axis=0) - s.weights).sum())
-    if row_err + col_err > marginal_tol:
+    if row_err + col_err > MI_MARGINAL_TOL:
         raise MarginalMismatch(
-            f"plan marginals off by {row_err + col_err:.3e} (tolerance {marginal_tol:g})"
+            f"plan marginals off by {row_err + col_err:.3e} (tolerance {MI_MARGINAL_TOL:g})"
         )
     total = 0.0
     for rows in row_blocks(*pi.shape):
@@ -740,7 +751,8 @@ def exact_ot_small(r: DiscreteMeasure, s: DiscreteMeasure, m: CostModel) -> OTSo
     supports.  A plan whose marginals miss a positive weight by more than
     EXACT_MARGINAL_TOL relative raises MarginalMismatch with that error, the
     atom and its weight; more than EXACT_MAX_PIVOTS pivots raise
-    NonConvergence.
+    NonConvergence.  A non-finite cost on the supports raises
+    InvalidFamilyParams before any pivot.
     """
     nx, ny = r.space.size, s.space.size
     if nx > MAX_EXACT_SIZE or ny > MAX_EXACT_SIZE:
@@ -749,6 +761,8 @@ def exact_ot_small(r: DiscreteMeasure, s: DiscreteMeasure, m: CostModel) -> OTSo
     iy = np.flatnonzero(s.weights > 0)
     kx = ix.size
     c = m.cost[np.ix_(ix, iy)]
+    if not np.isfinite(c).all():
+        raise InvalidFamilyParams("exact transport needs finite costs on the supports")
     rw, sw = r.weights[ix], s.weights[iy]
     plan_sub, a_sub, b_sub, value = _network_simplex(rw, sw, c)
 
@@ -812,9 +826,9 @@ class GapReport:
 
 def vanishing_reg_gap(
     r: DiscreteMeasure, s: DiscreteMeasure, m: CostModel, lambdas,
-    cfg: SolveConfig = SolveConfig(), slack: float = 1e-8,
 ) -> GapReport:
-    """Check 0 <= S^lam - OT <= EROT^lam - OT <= lam * H(r, s) per lambda."""
+    """Check 0 <= S^lam - OT <= EROT^lam - OT <= lam * H(r, s) per lambda,
+    each inequality up to GAP_TOL, with the default SolveConfig."""
     ot = exact_ot_small(r, s, m)
     H = entropy_pair(r, s)
     erots, costs = [], []
@@ -822,13 +836,13 @@ def vanishing_reg_gap(
     holds = True
     lam_sorted = sorted(lambdas, reverse=True)
     for lam in lam_sorted:
-        sol = solve(r, s, m, lam, cfg, warm_start=warm)
+        sol = solve(r, s, m, lam, warm_start=warm)
         warm = (sol.alpha, sol.beta)
         erots.append(sol.value)
         costs.append(sol.cost_part)
         holds &= (
-            ot.value - slack <= sol.cost_part <= sol.value + slack
-            and sol.value - ot.value <= lam * H + slack
+            ot.value - GAP_TOL <= sol.cost_part <= sol.value + GAP_TOL
+            and sol.value - ot.value <= lam * H + GAP_TOL
         )
     return GapReport(
         ot=ot,

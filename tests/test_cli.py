@@ -361,7 +361,9 @@ _OK_S = {"labels": ["a0", "a1", "a2"], "weights": [0.5, 0.25, 0.25],
      "InvalidFamilyParams", "finite cost entries"),
     (_OK_S, {"family": "custom", "cost": [[0, 1, 2], [1, 0, math.nan], [2, 1, 0]]},
      "InvalidFamilyParams", "NaN entries"),
-], ids=["nan_weight", "bounded_nan_cost", "custom_nan_cost"])
+    (_OK_S, {"family": "custom", "cost": [[0, 1, 2], [1, 0, -math.inf], [2, 1, 0]]},
+     "InvalidFamilyParams", "-inf entries"),
+], ids=["nan_weight", "bounded_nan_cost", "custom_nan_cost", "custom_neg_inf_cost"])
 def test_non_finite_input_exit_2(tmp_path, capsys, r, cost, error, message):
     paths = _write_instance(tmp_path, r, _OK_S, cost)
     code = main(["solve", *_base(paths, "--lambda", "1", "--out", str(tmp_path / "x.json"))])
@@ -369,6 +371,34 @@ def test_non_finite_input_exit_2(tmp_path, capsys, r, cost, error, message):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == error and message in err["message"]
     assert not (tmp_path / "x.json").exists()
+
+
+_INF_COST = {"family": "custom", "cost": [[0, 1, 2], [1, 0, math.inf], [2, 1, 0]]}
+_INF_R = {"labels": ["a0", "a1", "a2"], "weights": [0.2, 0.3, 0.5]}
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-finite number {name} in the output")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_solve_with_a_forbidden_cell_writes_finite_numbers(tmp_path):
+    paths = _write_instance(tmp_path, _INF_R, _INF_R, _INF_COST)
+    out = tmp_path / "sol.json"
+    assert main(["solve", *_base(paths, "--lambda", "1", "--out", str(out))]) == 0
+    payload = _strict_json(out.read_text())
+    assert payload["sinkhorn_cost"] == pytest.approx(0.30338149922992225, rel=1e-12)
+    assert payload["mutual_info"] == pytest.approx(0.4437128745338304, rel=1e-12)
+
+
+def test_ot_exact_with_a_forbidden_cell_exit_2(tmp_path, capsys):
+    paths = _write_instance(tmp_path, _INF_R, _INF_R, _INF_COST)
+    code = main(["ot-exact", *_base(paths, "--out", str(tmp_path / "ot.json"))])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "InvalidFamilyParams" and "finite costs" in err["message"]
+    assert not (tmp_path / "ot.json").exists()
 
 
 def test_ot_exact_keeps_every_atom_of_a_long_tail(tmp_path):

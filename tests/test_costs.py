@@ -10,7 +10,6 @@ from erot.costs import (
     SANDWICH_TOL,
     CostModel,
     DominatingCollection,
-    Family,
     row_blocks,
 )
 from erot.errors import (
@@ -162,13 +161,13 @@ class TestShiftNonnegative:
     def test_constant_shift(self):
         sp = erot.integer_grid(2)
         base = np.array([[0.0, 1.0], [1.0, 0.0]])
-        from erot.costs import CostModel, DominatingCollection, Family
+        from erot.costs import CostModel, DominatingCollection
 
         model = CostModel(
             sp, sp, base - 3.0,
             DominatingCollection(np.full(2, -3.0), np.full(2, 1.0),
                                  np.zeros(2), np.zeros(2)),
-            None, Family.CUSTOM,
+            None,
         )
         r = erot.validate_measure([0.5, 0.5], sp)
         shifted, offset = erot.shift_nonnegative(model, r, r)
@@ -290,7 +289,7 @@ def _dense_sandwich_ok(cost, dom):
 def _blocked_sandwich_ok(cost, dom):
     sx, sy = erot.integer_grid(cost.shape[0]), erot.integer_grid(cost.shape[1])
     try:
-        CostModel(sx, sy, cost, dom, None, Family.CUSTOM)
+        CostModel(sx, sy, cost, dom, None)
     except InvalidFamilyParams:
         return False
     return True
@@ -363,9 +362,9 @@ class TestBlockedSandwich:
         dom, lo, hi, cost = self._inside("random")
         tight = replace(dom, cX_plus=dom.cX_minus.copy(), cY_plus=dom.cY_minus.copy())
         sx, sy = erot.integer_grid(NX), erot.integer_grid(NY)
-        CostModel(sx, sy, cost, dom, dom, Family.CUSTOM)
+        CostModel(sx, sy, cost, dom, dom)
         with pytest.raises(InvalidFamilyParams, match="sandwich"):
-            CostModel(sx, sy, cost, dom, tight, Family.CUSTOM)
+            CostModel(sx, sy, cost, dom, tight)
 
 
 class TestBlockedSymmetry:
@@ -373,7 +372,7 @@ class TestBlockedSymmetry:
         sp = erot.integer_grid(c.shape[0])
         wide = DominatingCollection(np.full(c.shape[0], -10.0), np.full(c.shape[0], 10.0),
                                     np.zeros(c.shape[1]), np.zeros(c.shape[1]))
-        return CostModel(sp, sp, c, wide, None, Family.CUSTOM)
+        return CostModel(sp, sp, c, wide, None)
 
     @pytest.mark.parametrize("cell", [(NX - 1, 0), (0, NX - 1), (NX - 3, NX - 2), (150, 40)])
     def test_verdicts_at_the_allclose_edge(self, cell):
@@ -472,6 +471,16 @@ class TestNonFiniteCosts:
         # a custom table may hold +inf: its X-variation is then unbounded
         m, _ = erot.build_cost({"family": "custom", "cost": table}, sp, sp, 1.0)
         assert not m.bounded_x_variation
+
+    def test_negative_infinity_refused(self):
+        sp = erot.integer_grid(3)
+        table = [[0, 1, 2], [1, 0, -math.inf], [2, 1, 0]]
+        with pytest.raises(InvalidFamilyParams, match="-inf entries"):
+            erot.build_cost({"family": "custom", "cost": table}, sp, sp, 1.0)
+        wide = DominatingCollection(np.full(3, -math.inf), np.full(3, 2.0),
+                                    np.zeros(3), np.zeros(3))
+        with pytest.raises(InvalidFamilyParams, match="-inf entries"):
+            CostModel(sp, sp, np.array(table, dtype=float), wide, None)
 
 
 class TestCustomDominatingVectors:

@@ -69,6 +69,11 @@ class TestValidateMeasure:
             erot.validate_measure([0.5, 0.5], sp)
 
 
+def test_truncated_measure_rejects_a_nan_weight():
+    with pytest.raises(MassMismatch, match="not a finite number"):
+        erot.measures.truncated_measure([math.nan, 1.0, 1.0], erot.integer_grid(3))
+
+
 def test_tail_constructors_attach_families():
     sp = erot.integer_grid(10)
     assert erot.geometric_measure(sp, 0.5).tail.kind == "geometric"

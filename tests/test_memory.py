@@ -64,7 +64,7 @@ def test_build_cost(inst, name):
 
 def test_is_symmetric(inst):
     *_, m = inst
-    fresh = costs.CostModel(m.space_X, m.space_Y, m.cost, m.dom_primary, None, m.family_tag)
+    fresh = costs.CostModel(m.space_X, m.space_Y, m.cost, m.dom_primary, None)
     verdict, extra, _ = _peak_over_held_mb(lambda: fresh.is_symmetric)
     assert verdict and extra <= SLACK_MB
 

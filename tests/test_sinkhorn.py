@@ -9,7 +9,13 @@ from scipy.optimize import linprog
 from scipy.special import logsumexp
 
 import erot
-from erot.errors import AsymmetricSetup, MarginalMismatch, NonConvergence
+from erot.errors import (
+    AsymmetricSetup,
+    InvalidFamilyParams,
+    MarginalMismatch,
+    NegativeWeight,
+    NonConvergence,
+)
 from erot.sinkhorn import _log_update
 
 
@@ -824,3 +830,42 @@ class TestVanishingGap:
         # the entropic value never exceeds OT plus lambda times the entropy cap
         for lam, v in zip(report.lambdas, report.erot_values):
             assert v <= report.ot_value + lam * report.entropy_bound + 1e-9
+
+
+class TestForbiddenCellsAndUnvalidatedWeights:
+    """A forbidden (+inf) cell of a custom table, and weights no validation
+    saw."""
+
+    TABLE = [[0, 1, 2], [1, 0, math.inf], [2, 1, 0]]
+
+    def _instance(self, table):
+        sp = erot.integer_grid(3)
+        m, _ = erot.build_cost({"family": "custom", "cost": table}, sp, sp, 1.0)
+        return erot.validate_measure([0.2, 0.3, 0.5], sp), m
+
+    def test_forbidden_cell_adds_nothing_to_the_cost_part(self):
+        r, m = self._instance(self.TABLE)
+        sol = erot.solve(r, r, m, 1.0)
+        assert sol.plan[1, 2] == 0.0
+        finite = np.where(np.isinf(m.cost), 0.0, m.cost)
+        assert sol.cost_part == pytest.approx(float(np.sum(finite * sol.plan)), rel=1e-14)
+        assert sol.cost_part == pytest.approx(0.30338149922992225, rel=1e-12)
+        assert sol.mutual_info == pytest.approx(0.4437128745338304, rel=1e-12)
+        assert sol.mutual_info == pytest.approx(erot.mutual_information(sol.plan, r, r),
+                                                rel=1e-9)
+
+    def test_exact_oracle_refuses_an_infinite_cost_on_the_supports(self):
+        r, m = self._instance(self.TABLE)
+        with pytest.raises(InvalidFamilyParams, match="finite costs"):
+            erot.exact_ot_small(r, r, m)
+        with pytest.raises(InvalidFamilyParams, match="finite costs"):
+            erot.vanishing_reg_gap(r, r, m, [1.0])
+
+    def test_negative_weight_of_an_unvalidated_measure(self):
+        r, m = self._instance([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        for w in ([0.6, -0.1, 0.5], [math.nan, 0.5, 0.5]):
+            bad = erot.DiscreteMeasure(r.space, np.array(w))
+            with pytest.raises(NegativeWeight):
+                erot.solve(bad, r, m, 1.0)
+            with pytest.raises(NegativeWeight):
+                erot.solve(r, bad, m, 1.0)

@@ -34,7 +34,6 @@ from .costs import (
 from .sinkhorn import (
     BoundReport,
     GapReport,
-    Normalization,
     OTSolution,
     SinkhornSolution,
     SolveConfig,

@@ -70,7 +70,6 @@ from .sensitivity import (
 from .sinkhorn import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    Normalization,
     SolveConfig,
     exact_ot_small,
     sinkhorn_divergence,
@@ -89,7 +88,6 @@ FLAGS = {
     "cost": (str, None),
     "out": (str, None),
     "lambda": (float, 1.0),
-    "normalization": (str, "balanced"),
     "tol": (float, DEFAULT_TOL),
     "max-iter": (int, DEFAULT_MAX_ITER),
     "mode": (str, ONE_SAMPLE_R),
@@ -151,11 +149,7 @@ def _load_instance(a, lam: float):
 
 
 def _solve_cfg(a) -> SolveConfig:
-    try:
-        normalization = Normalization(a.normalization)
-    except ValueError as exc:
-        raise ConfigParse(f"unknown normalization {a.normalization!r}") from exc
-    return SolveConfig(tol=a.tol, max_iter=a.max_iter, normalization=normalization)
+    return SolveConfig(tol=a.tol, max_iter=a.max_iter)
 
 
 def _solved(a):
@@ -187,7 +181,6 @@ def _cmd_solve(a):
         "plan": _plan_triplets(sol.plan),
         "iterations": sol.iterations,
         "marginal_residual": sol.marginal_residual,
-        "normalization": sol.normalization.value,
     }, ()
 
 
@@ -222,8 +215,12 @@ def _cmd_variance(a):
         "delta": a.delta,
         "sigma2_value": value_variance(sol, r, s, design),
     }
-    ops = build_operators(sol, r, s, model)
-    payload["sigma_tilde2_cost"] = sinkhorn_cost_variance(ops, r, s, model, design)
+    # the cost's variance goes through the plan derivative, which needs bounded
+    # X-variation; the value's needs only the potentials
+    payload["sigma_tilde2_cost"] = None
+    if model.bounded_x_variation:
+        ops = build_operators(sol, r, s, model)
+        payload["sigma_tilde2_cost"] = sinkhorn_cost_variance(ops, r, s, model, design)
     if model.is_symmetric:
         payload["sigma2_divergence"] = divergence_variance(r, s, model, a.lam, design, cfg=cfg)
     return payload, ()
@@ -370,7 +367,7 @@ def _cmd_ot_exact(a):
 # subcommands, parser and writer
 
 INSTANCE = ("r!", "s!", "cost!")
-SOLVE_CFG = ("normalization", "tol", "max-iter")
+SOLVE_CFG = ("tol", "max-iter")
 SOLVED = ("lambda!", *INSTANCE, *SOLVE_CFG)
 DESIGN = ("mode", "delta")
 

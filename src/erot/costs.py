@@ -456,7 +456,8 @@ class ConditionReport:
             "sums": [
                 {
                     "description": c.description,
-                    "partial_sum": c.partial_sum,
+                    # an infinite sum is written as null, which strict JSON takes
+                    "partial_sum": c.partial_sum if math.isfinite(c.partial_sum) else None,
                     "verdict": c.verdict,
                     "detail": c.detail,
                 }
@@ -494,7 +495,12 @@ def _series_verdict(weight: Growth, tail: TailFamily | None, power: float) -> tu
 
 def _checked(desc: str, weight_vec: np.ndarray, measure_vec: np.ndarray, power: float,
              weight_growth: Growth, tail: TailFamily | None) -> CheckedSum:
-    partial = float(weight_vec @ measure_vec**power)
+    # atoms of zero mass add nothing, whatever their weight
+    on = measure_vec > 0
+    partial = float(weight_vec[on] @ measure_vec[on]**power)
+    if tail is not None and tail.kind == "finite" and not math.isfinite(partial):
+        # on a finite support the partial sum is the whole series
+        return CheckedSum(desc, partial, "diverges", "finite support, infinite sum")
     verdict, detail = _series_verdict(weight_growth, tail, power)
     if verdict == "inconclusive":
         # ratio of the last partial-sum increments as a numeric diagnostic

@@ -172,11 +172,10 @@ class Design:
 def validate_measure(
     weights,
     space: IndexedSpace,
-    renormalize: bool = True,
     tail: TailFamily | None = FINITE_TAIL,
 ) -> DiscreteMeasure:
     """Check finite, nonnegative weights and unit mass; small deviations
-    (<= 1e-9) are renormalized away when ``renormalize`` is set."""
+    (<= 1e-9) are renormalized away."""
     w = np.asarray(weights, dtype=float)
     if w.shape != (space.size,):
         raise SpaceMismatch(
@@ -191,7 +190,7 @@ def validate_measure(
         raise MassMismatch(f"atom {space.labels[i]!r} has weight {w[i]}, not a finite number")
     total = w.sum()
     if abs(total - 1.0) > MASS_TOL:
-        if renormalize and abs(total - 1.0) <= RENORM_TOL:
+        if abs(total - 1.0) <= RENORM_TOL:
             w = w / total
         else:
             raise MassMismatch(f"weights sum to {total!r}, expected 1")

@@ -2,8 +2,8 @@
 plug-in asymptotic variances/covariances of the plug-in limit theorems.
 
 The plan derivative is assembled from four operators built at an optimal
-solution with the beta potential anchored at the first positive-mass atom y1
-of Y (write Y* = Y without y1):
+solution, taken as solved (only its plan is read); the correction b is
+anchored at the first positive-mass atom y1 of Y (write Y* = Y without y1):
 
     AX: R^{Y*} -> R^X,  (AX h)_x = sum_{y != y1} (pi_xy / r_x) h_y
     AY: R^X  -> R^{Y*}, (AY h)_y = sum_x (pi_xy / s_y) h_x
@@ -69,7 +69,7 @@ from .errors import (
 )
 # the mode spellings stay importable from here
 from .measures import ONE_SAMPLE_R, ONE_SAMPLE_S, TWO_SAMPLE, Design, DiscreteMeasure, SignedVector
-from .sinkhorn import Normalization, SinkhornSolution, SolveConfig, _require_symmetric, solve
+from .sinkhorn import SinkhornSolution, SolveConfig, _require_symmetric, solve
 
 TANGENT_TOL = 1e-10
 # smallest eigenvalue estimate of S = I - K K^T below which the block system
@@ -90,12 +90,12 @@ def multinomial_covariance(r: DiscreteMeasure) -> MultinomialCovariance:
 
 @dataclass(frozen=True)
 class DerivativeOperators:
-    """The plan derivative's data at one solution: the anchored solution,
+    """The plan derivative's data at one solution: the solution as solved,
     the marginals, the Cholesky factor of S = I - K K^T and diagnostics.
     The solves work on the plan itself; AX, AY, BX and BY (module
     docstring) are formed only when read."""
 
-    base: SinkhornSolution  # anchored normalization, beta[y1] = 0
+    base: SinkhornSolution  # the solution as solved; b is anchored at y1
     r: DiscreteMeasure
     s: DiscreteMeasure
     contraction_norm: float  # ||AX AY||_inf
@@ -143,8 +143,7 @@ def build_operators(
         raise UnboundedXVariation(
             "plan derivative requires sup_x (cX+ - cX-)(x) < infinity"
         )
-    base = sol.renormalized(Normalization.ANCHORED_AT_Y1, r, s)
-    pi, w_r, w_s = base.plan, r.weights, s.weights
+    pi, w_r, w_s = sol.plan, r.weights, s.weights
     rows, cols = pi.sum(axis=1), pi.sum(axis=0)
     marginal_error = float(max(np.max(np.abs(rows - w_r) / w_r),
                                np.max(np.abs(cols - w_s) / w_s)))
@@ -179,7 +178,7 @@ def build_operators(
             RuntimeWarning,
         )
     return DerivativeOperators(
-        base=base, r=r, s=s, contraction_norm=norm, schur_min_eig=min_eig,
+        base=sol, r=r, s=s, contraction_norm=norm, schur_min_eig=min_eig,
         max_rel_marginal_error=marginal_error, cho=cho,
     )
 
@@ -246,7 +245,7 @@ def plan_derivative(ops: DerivativeOperators, hX: SignedVector, hY: SignedVector
     _check_tangent(hX, "hX")
     _check_tangent(hY, "hY")
     a, b = _potential_corrections(ops, hX.entries, hY.entries, method)
-    b_full = np.concatenate(([0.0], b))  # beta[y1] stays anchored at 0
+    b_full = np.concatenate(([0.0], b))  # b is anchored at y1
     # (pi/(r (x) s)) . [r (x) hY + hX (x) s] = pi . (hX/r (+) hY/s)
     return ops.base.plan * ((hX.entries / ops.r.weights - a)[:, None]
                             + (hY.entries / ops.s.weights - b_full)[None, :])
@@ -380,6 +379,7 @@ def sample_limit(ops: DerivativeOperators, statistic: str, n_draws: int, seed,
     if n_draws == 0:
         return np.empty(0)
     if statistic == "value":
+        # each Gaussian sums to 0, so the potentials' gauge does not matter
         gX, gY = ops.base.alpha, ops.base.beta
     elif statistic == "plan_functional":
         if f is None:

@@ -40,8 +40,7 @@ simplex in numpy), and the vanishing-regularization gap chain
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,16 +66,10 @@ MI_MARGINAL_TOL = 1e-8
 GAP_TOL = 1e-8
 
 
-class Normalization(Enum):
-    BALANCED = "balanced"
-    ANCHORED_AT_Y1 = "anchored_at_y1"
-
-
 @dataclass(frozen=True)
 class SolveConfig:
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    normalization: Normalization = Normalization.BALANCED
 
 
 @dataclass(frozen=True)
@@ -90,27 +83,6 @@ class SinkhornSolution:
     mutual_info: float
     iterations: int
     marginal_residual: float
-    normalization: Normalization
-
-    def renormalized(self, normalization: Normalization, r: DiscreteMeasure,
-                     s: DiscreteMeasure) -> "SinkhornSolution":
-        if normalization == self.normalization:
-            return self
-        shift = _gauge_shift(normalization, self.alpha, self.beta, r.weights, s.weights)
-        return replace(
-            self,
-            alpha=self.alpha + shift,
-            beta=self.beta - shift,
-            normalization=normalization,
-        )
-
-
-def _gauge_shift(normalization: Normalization, alpha, beta, rw, sw) -> float:
-    """The t with (alpha + t, beta - t) in the gauge: <alpha, r> = <beta, s>
-    (balanced), or beta = 0 at the first positive-mass atom of s."""
-    if normalization == Normalization.BALANCED:
-        return 0.5 * (beta @ sw - alpha @ rw)
-    return beta[np.argmax(sw > 0)]
 
 
 def _log_update(log_w: np.ndarray, pot: np.ndarray, cost: np.ndarray, lam: float,
@@ -197,7 +169,9 @@ def solve(
     The fixed point is solved on supp(r) x supp(s); potentials on zero-mass
     atoms are back-filled from the converged ones.  The returned plan has
     exact row marginals and column marginals within the l1 tolerance.  Of a
-    warm start (alpha, beta) only warm_start[0], alpha, is read.
+    warm start (alpha, beta) only warm_start[0], alpha, is read.  The
+    potentials are in the balanced gauge <alpha, r> = <beta, s>; what is
+    derived from them is invariant under (alpha + t, beta - t).
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -283,7 +257,7 @@ def solve(
         c_off = m.cost[np.ix_(ix, off_y)]
         beta_full[off_y] = _log_update(log_r, alpha, c_off, lam, 0, c_off)
 
-    shift = _gauge_shift(cfg.normalization, alpha_full, beta_full, rw, sw)
+    shift = 0.5 * (beta_full @ sw - alpha_full @ rw)
     alpha_full += shift
     beta_full -= shift
 
@@ -313,7 +287,6 @@ def solve(
         marginal_residual=float(
             np.abs(plan.sum(axis=1) - rw).sum() + np.abs(plan.sum(axis=0) - sw).sum()
         ),
-        normalization=cfg.normalization,
     )
 
 
@@ -397,13 +370,13 @@ def verify_bounds(sol: SinkhornSolution, m: CostModel, r: DiscreteMeasure,
                   s: DiscreteMeasure) -> BoundReport:
     """Check the quantitative potential and plan bounds on the support.
 
-    Potential bounds apply under the balanced normalization (the solution is
-    converted if needed); violations are reported as nonnegative magnitudes.
+    The potential bounds are stated in the balanced gauge <alpha, r> =
+    <beta, s>, the one `solve` returns, and are read off the potentials as
+    solved; violations are reported as nonnegative magnitudes.
     At small lam the weights exp(osc / lam) can overflow; the bounds then
     hold trivially and the report is flagged `vacuous`.
     """
     lam = sol.lam
-    bal = sol.renormalized(Normalization.BALANCED, r, s)
     dom = m.dom_primary
     rw, sw = r.weights, s.weights
     ix, iy = rw > 0, sw > 0
@@ -429,8 +402,8 @@ def verify_bounds(sol: SinkhornSolution, m: CostModel, r: DiscreteMeasure,
             prod = rw[rows, None] * sw[None, :]
             p_lo = prod / (eX[rows, None] * eY[None, :] * eX_r**2 * eY_s**2)
             p_hi = prod * eX[rows, None] * eY[None, :] * eX_r * eY_s
-        lower.append(np.max(p_lo - bal.plan[rows]))
-        upper.append(np.max(bal.plan[rows] - p_hi))
+        lower.append(np.max(p_lo - sol.plan[rows]))
+        upper.append(np.max(sol.plan[rows] - p_hi))
         support = np.ix_(ix[rows], iy)
         finite = finite and np.all(np.isfinite(p_lo[support])) and np.all(
             np.isfinite(p_hi[support]))
@@ -439,10 +412,10 @@ def verify_bounds(sol: SinkhornSolution, m: CostModel, r: DiscreteMeasure,
         return float(max(0.0, np.max(arr))) if arr.size else 0.0
 
     return BoundReport(
-        alpha_lower_violation=viol(a_lo[ix] - bal.alpha[ix]),
-        alpha_upper_violation=viol(bal.alpha[ix] - a_hi[ix]),
-        beta_lower_violation=viol(b_lo[iy] - bal.beta[iy]),
-        beta_upper_violation=viol(bal.beta[iy] - b_hi[iy]),
+        alpha_lower_violation=viol(a_lo[ix] - sol.alpha[ix]),
+        alpha_upper_violation=viol(sol.alpha[ix] - a_hi[ix]),
+        beta_lower_violation=viol(b_lo[iy] - sol.beta[iy]),
+        beta_upper_violation=viol(sol.beta[iy] - b_hi[iy]),
         plan_lower_violation=viol(np.array(lower)),
         plan_upper_violation=viol(np.array(upper)),
         vacuous=not finite,

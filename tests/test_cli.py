@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -104,6 +105,8 @@ class TestSolve:
     (["--lambda", "1", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
     (["--lambda", "1", "--seed", "1"], "unrecognized arguments: --seed 1"),
     (["--lambda", "abc"], "bad value for --lambda: abc"),
+    (["--lambda", "1", "--normalization", "balanced"],
+     "unrecognized arguments: --normalization balanced"),
 ])
 def test_usage_errors_are_config_parse(instance, capsys, extra, message):
     paths, tmp = instance
@@ -173,7 +176,25 @@ class TestCheckConditions:
                      "--cost", str(pc), "--lambda", "1", "--theorem", "plan",
                      "--out", str(out)])
         assert code == 0
-        assert json.loads(out.read_text())["verdict"] == "Fail"
+        assert _strict_json(out.read_text())["verdict"] == "Fail"
+
+    @pytest.mark.parametrize("theorem", ["value", "plan"])
+    def test_infinite_cost_sums_diverge_and_write_null(self, tmp_path, theorem):
+        # a forbidden cell makes C_X infinite at its row: on a finite support
+        # that sum diverges, and its partial sum is written as null
+        paths = _write_instance(tmp_path, _INF_R, _INF_R, _INF_COST)
+        out = tmp_path / "cond.json"
+        assert main(["check-conditions", *_base(
+            paths, "--lambda", "1", "--theorem", theorem, "--out", str(out))]) == 0
+        payload = _strict_json(out.read_text())
+        assert payload["verdict"] == "Fail"
+        sums = {c["description"]: c for c in payload["sums"]}
+        assert sums["sum C_X sqrt(r)"]["partial_sum"] is None
+        assert sums["sum C_X sqrt(r)"]["verdict"] == "diverges"
+        if theorem == "plan":
+            assert sums["sup |cX+ - cX-|"]["partial_sum"] is None
+        finite = [c for c in payload["sums"] if c["partial_sum"] is not None]
+        assert finite and all(c["verdict"] == "converges" for c in finite)
 
     def test_value_one_sample_s_lists_fixed_r_sums(self, tmp_path):
         n = 30
@@ -390,6 +411,19 @@ def test_solve_with_a_forbidden_cell_writes_finite_numbers(tmp_path):
     payload = _strict_json(out.read_text())
     assert payload["sinkhorn_cost"] == pytest.approx(0.30338149922992225, rel=1e-12)
     assert payload["mutual_info"] == pytest.approx(0.4437128745338304, rel=1e-12)
+
+
+def test_variance_with_a_forbidden_cell_writes_null_cost_variance(tmp_path):
+    # unbounded X-variation rules out the plan derivative, not the value's variance
+    paths = _write_instance(tmp_path, _INF_R, _INF_R, _INF_COST)
+    out = tmp_path / "var.json"
+    assert main(["variance", *_base(paths, "--lambda", "1", "--out", str(out))]) == 0
+    payload = _strict_json(out.read_text())
+    assert payload["sigma_tilde2_cost"] is None
+    r = erot.validate_measure(_INF_R["weights"], erot.IndexedSpace(tuple(_INF_R["labels"])))
+    m, _ = erot.build_cost(_INF_COST, r.space, r.space, 1.0)
+    expected = erot.value_variance(erot.solve(r, r, m, 1.0), r, r)
+    assert payload["sigma2_value"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_ot_exact_with_a_forbidden_cell_exit_2(tmp_path, capsys):
@@ -691,3 +725,21 @@ print(json.dumps([m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modu
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=_child_env(),
                           capture_output=True, text=True, timeout=120, check=True)
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+
+
+def test_readme_usage_lists_exactly_each_subcommands_flags():
+    # the README's usage block, "..." and [SOLVER] expanded and --out added,
+    # names exactly the flags each subcommand takes
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text[text.index("```\nerot solve") + 4:]
+    block = block[:block.index("```")]
+    solver = re.search(r"^SOLVER = (.*)$", block, re.M).group(1)
+    usage = {}
+    for line in block.splitlines():
+        if line.startswith("erot "):
+            sub, rest = line.split(None, 2)[1:]
+            rest = rest.replace("...", "--r --s --cost").replace("[SOLVER]", solver)
+            usage[sub] = set(re.findall(r"--([a-zA-Z][\w-]*)", rest)) | {"out"}
+    assert set(usage) == set(erot.cli.COMMANDS)
+    for sub, flags in usage.items():
+        assert flags == {flag for flag, _ in erot.cli._flags(sub)}, sub

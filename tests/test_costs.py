@@ -232,6 +232,22 @@ class TestConditionChecks:
         assert erot.check_value_conditions(r, r, prof).verdict == "Pass"
         assert erot.check_plan_conditions(r, r, prof).verdict == "Pass"
 
+    def test_infinite_weight_counts_only_at_atoms_with_mass(self):
+        # a forbidden cell makes C_X infinite at its row: the finite-support
+        # sum diverges when that row has mass, and the row adds nothing when not
+        sp = erot.integer_grid(3)
+        _, prof = erot.build_cost(
+            {"family": "custom", "cost": [[0, 1, 2], [1, 0, math.inf], [2, 1, 0]]}, sp, sp, 1.0)
+        s = erot.validate_measure([0.2, 0.3, 0.5], sp)
+        r = erot.validate_measure([0.5, 0.0, 0.5], sp)
+        report = erot.check_value_conditions(s, s, prof)
+        assert report.verdict == "Fail"
+        assert not math.isfinite(report.checked_sums[0].partial_sum)
+        with np.errstate(all="raise"):
+            report = erot.check_value_conditions(r, s, prof)
+        assert report.verdict == "Pass"
+        assert report.checked_sums[0].partial_sum == pytest.approx(2 * 3 * math.sqrt(0.5))
+
     def test_unclassified_tail_is_inconclusive(self):
         sp = erot.integer_grid(8)
         w = np.full(8, 1 / 8)

@@ -61,7 +61,7 @@ class TestValidateMeasure:
         with pytest.raises(MassMismatch, match=f"atom 'b' has weight {bad}"):
             erot.validate_measure([0.5, bad, 0.5], sp)
         with pytest.raises(MassMismatch, match="atom 'a'"):
-            erot.validate_measure([bad, 0.5, 0.5], sp, renormalize=False)
+            erot.validate_measure([bad, 0.5, 0.5], sp)
 
     def test_rejects_wrong_length(self):
         sp = erot.integer_grid(3)

@@ -117,26 +117,13 @@ class TestSolve:
         assert np.allclose(sol.plan.sum(axis=0), s.weights, atol=1e-10)
 
     def test_potential_shift_invariance(self):
+        # the potentials are unique up to (alpha + t, beta - t); solve returns
+        # the balanced gauge <alpha, r> = <beta, s>
         rng = np.random.default_rng(2)
         r, s, m = _random_instance(rng, 5, 6)
-        bal = erot.solve(r, s, m, 1.0, erot.SolveConfig(normalization=erot.Normalization.BALANCED))
-        anc = erot.solve(r, s, m, 1.0, erot.SolveConfig(normalization=erot.Normalization.ANCHORED_AT_Y1))
-        eta = bal.alpha[0] - anc.alpha[0]
-        assert np.allclose(bal.alpha, anc.alpha + eta, atol=1e-8)
-        assert np.allclose(bal.beta, anc.beta - eta, atol=1e-8)
-        assert anc.beta[0] == pytest.approx(0.0, abs=1e-12)
-        assert bal.alpha @ r.weights == pytest.approx(bal.beta @ s.weights, abs=1e-8)
-        assert np.allclose(bal.plan, anc.plan, atol=1e-10)
-        assert bal.value == pytest.approx(anc.value, abs=1e-10)
-
-    def test_renormalized_round_trip(self):
-        rng = np.random.default_rng(9)
-        r, s, m = _random_instance(rng, 4, 4)
         sol = erot.solve(r, s, m, 1.0)
-        other = sol.renormalized(erot.Normalization.ANCHORED_AT_Y1, r, s)
-        back = other.renormalized(erot.Normalization.BALANCED, r, s)
-        assert np.allclose(back.alpha, sol.alpha, atol=1e-10)
-        assert np.allclose(back.beta, sol.beta, atol=1e-10)
+        assert sol.alpha @ r.weights == pytest.approx(sol.beta @ s.weights, abs=1e-12)
+        assert sol.value == pytest.approx(2 * sol.alpha @ r.weights, abs=1e-12)
 
     def test_lambda_monotone_value(self):
         rng = np.random.default_rng(4)
@@ -500,7 +487,6 @@ class TestBounds:
     def _dense(sol, m, r, s):
         """The whole-table bound check, kept as the oracle."""
         lam = sol.lam
-        bal = sol.renormalized(erot.Normalization.BALANCED, r, s)
         dom = m.dom_primary
         rw, sw = r.weights, s.weights
         ix, iy = rw > 0, sw > 0
@@ -524,12 +510,12 @@ class TestBounds:
             return float(max(0.0, np.max(arr))) if arr.size else 0.0
 
         return erot.BoundReport(
-            alpha_lower_violation=viol(a_lo[ix] - bal.alpha[ix]),
-            alpha_upper_violation=viol(bal.alpha[ix] - a_hi[ix]),
-            beta_lower_violation=viol(b_lo[iy] - bal.beta[iy]),
-            beta_upper_violation=viol(bal.beta[iy] - b_hi[iy]),
-            plan_lower_violation=viol(p_lo - bal.plan),
-            plan_upper_violation=viol(bal.plan - p_hi),
+            alpha_lower_violation=viol(a_lo[ix] - sol.alpha[ix]),
+            alpha_upper_violation=viol(sol.alpha[ix] - a_hi[ix]),
+            beta_lower_violation=viol(b_lo[iy] - sol.beta[iy]),
+            beta_upper_violation=viol(sol.beta[iy] - b_hi[iy]),
+            plan_lower_violation=viol(p_lo - sol.plan),
+            plan_upper_violation=viol(sol.plan - p_hi),
             vacuous=not all(np.all(np.isfinite(b)) for b in on_support),
         ).to_dict()
 

@@ -254,7 +254,7 @@ def _cmd_derivative_check(a):
         h -= h.mean()
         # keep the perturbed measures inside the simplex for every step size
         scale = 0.5 * np.min(measure.weights) / max(ts) / max(1.0, np.max(np.abs(h)))
-        return SignedVector(measure.space, h * scale, sums_to_zero=True)
+        return SignedVector(measure.space, h * scale)
 
     hX, hY = tangent(r), tangent(s)
     dpi = plan_derivative(ops, hX, hY)
@@ -297,9 +297,9 @@ def _cmd_bootstrap(a):
     start = time.perf_counter()
     if fns:
         draws = bootstrap_plan_functional(
-            sample, s, model, a.lam, fns[0], a.B, ss[1], r.space, a.threads, cfg)
+            sample, s, model, a.lam, fns[0], a.B, ss[1], a.threads, cfg)
     else:
-        draws = bootstrap_value(sample, s, model, a.lam, a.B, ss[1], r.space, a.threads, cfg)
+        draws = bootstrap_value(sample, s, model, a.lam, a.B, ss[1], a.threads, cfg)
     runtime = time.perf_counter() - start
     draws_csv = Path(a.out).with_suffix(".draws.csv")
     io.write_draws_csv(draws, draws_csv)
@@ -323,7 +323,7 @@ def _cmd_mc_clt(a):
                            solve_cfg=_solve_cfg(a))
     r, s, model, profile = _load_instance(a, a.lam)
     conditions = check_value_conditions(r, s, profile, cfg.design)
-    report = mc_clt_experiment(r, s, model, cfg, conditions)
+    report = mc_clt_experiment(r, s, model, cfg)
     draws_csv = Path(a.out).with_suffix(".draws.csv")
     qq_csv = Path(a.out).with_suffix(".qq.csv")
     io.write_draws_csv(report.standardized_draws, draws_csv)
@@ -453,8 +453,6 @@ def _write(subcommand: str, a, payload: dict, artifacts) -> None:
         config,
         [config[f] for f in INPUT_FLAGS if config.get(f)],
         [a.out, *artifacts],
-        seed=config.get("seed"),
-        seed_used="seed" in config,
         runtime=runtime,
     )
 

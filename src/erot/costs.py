@@ -186,9 +186,11 @@ def _profile_from(model: CostModel, lam: float) -> WeightProfile:
         C = 1.0 + np.abs(hi) + np.abs(lo)
         # e may saturate to inf for strongly growing costs; the analytic
         # convergence verdicts rely on the growth descriptors, not on these
-        # values, and an infinite partial sum is the honest numeric answer
+        # values, and an infinite partial sum is the honest numeric answer;
+        # an infinite bound (+inf - +inf included) is an infinite variation
+        finite = np.isfinite(lo) & np.isfinite(hi)
         with np.errstate(over="ignore"):
-            e = np.exp((hi - lo) / lam)
+            e = np.exp(np.subtract(hi, lo, out=np.full(hi.shape, np.inf), where=finite) / lam)
         return WeightFunction(space, C), WeightFunction(space, e)
 
     p = model.dom_primary
@@ -408,7 +410,7 @@ def _build_custom(spec, sx, sy, lam):
             cY_minus=np.asarray(dom_spec["cY_minus"], dtype=float),
             cY_plus=np.asarray(dom_spec["cY_plus"], dtype=float),
         )
-    bounded_x = bool(np.max(dom.cX_plus - dom.cX_minus) < np.inf)
+    bounded_x = bool(np.isfinite(dom.cX_minus).all() and np.isfinite(dom.cX_plus).all())
     return CostModel(sx, sy, cost, dom, None, _growth(), bounded_x)
 
 
@@ -497,14 +499,15 @@ def _checked(desc: str, weight_vec: np.ndarray, measure_vec: np.ndarray, power: 
              weight_growth: Growth, tail: TailFamily | None) -> CheckedSum:
     # atoms of zero mass add nothing, whatever their weight
     on = measure_vec > 0
-    partial = float(weight_vec[on] @ measure_vec[on]**power)
+    weights, masses = weight_vec[on], measure_vec[on]**power
+    partial = float(weights @ masses)
     if tail is not None and tail.kind == "finite" and not math.isfinite(partial):
         # on a finite support the partial sum is the whole series
         return CheckedSum(desc, partial, "diverges", "finite support, infinite sum")
     verdict, detail = _series_verdict(weight_growth, tail, power)
     if verdict == "inconclusive":
-        # ratio of the last partial-sum increments as a numeric diagnostic
-        terms = weight_vec * measure_vec**power
+        # ratio of the last partial-sum increments (atoms with mass) as a numeric diagnostic
+        terms = weights * masses
         if terms.size >= 4 and terms[-2] > 0:
             detail = f"increment ratio {terms[-1] / terms[-2]:.4g}"
     return CheckedSum(desc, partial, verdict, detail)

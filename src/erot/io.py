@@ -136,27 +136,29 @@ def load_cost(path, space_X: IndexedSpace, space_Y: IndexedSpace, lam: float):
 
 def load_function_tables(path, shape) -> list:
     """Test tables for plan functionals: a JSON list of 2-D arrays, or a CSV
-    of dense tables separated by blank lines."""
+    of dense tables separated by blank lines; anything else is a ConfigParse."""
     p = Path(path)
-    tables = []
-    if p.suffix == ".json":
-        raw = load_json(p)
-        if isinstance(raw, dict):
-            raw = raw.get("functions", [])
+    try:
+        if p.suffix == ".json":
+            raw = load_json(p)
+            if not isinstance(raw, list):
+                raise ConfigParse(f"function file {path} must hold a JSON list of tables")
+        else:
+            raw, block = [], []
+            for line in p.read_text().splitlines() + [""]:
+                line = line.strip()
+                if line:
+                    block.append([float(v) for v in line.replace(",", " ").split()])
+                elif block:
+                    raw.append(block)
+                    block = []
         tables = [np.asarray(t, dtype=float) for t in raw]
-    else:
-        block = []
-        for line in p.read_text().splitlines() + [""]:
-            line = line.strip()
-            if line:
-                block.append([float(v) for v in line.replace(",", " ").split()])
-            elif block:
-                tables.append(np.asarray(block, dtype=float))
-                block = []
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigParse(f"cannot read function tables from {path}: {exc}") from exc
     for t in tables:
-        if t.shape != tuple(shape):
+        if t.shape != tuple(shape) or not np.isfinite(t).all():
             raise ConfigParse(
-                f"function table shape {t.shape} does not match plan shape {tuple(shape)}"
+                f"function table {t.shape} in {path} is not a finite {tuple(shape)} table"
             )
     if not tables:
         raise ConfigParse(f"no function tables found in {path}")
@@ -183,15 +185,14 @@ def write_qq_csv(draws: np.ndarray, sigma2: float, path) -> None:
 
 
 def write_manifest(path, subcommand: str, config: dict, inputs: list,
-                   artifacts: list, seed, seed_used: bool,
-                   runtime: float | None = None) -> None:
+                   artifacts: list, runtime: float | None = None) -> None:
     manifest = {
         "subcommand": subcommand,
         "tool_version": __version__,
         "config": config,
         "input_digests": {str(p): sha256_digest(p) for p in inputs},
-        "seed": seed,
-        "seed_used": seed_used,
+        "seed": config.get("seed"),
+        "seed_used": "seed" in config,
         "artifacts": [str(a) for a in artifacts],
     }
     if runtime is not None:

@@ -109,15 +109,12 @@ class DiscreteMeasure:
 class SignedVector:
     space: IndexedSpace
     entries: np.ndarray
-    sums_to_zero: bool = False
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
         if e.shape != (self.space.size,):
             raise SpaceMismatch("entry vector does not match space size")
         object.__setattr__(self, "entries", e)
-        if self.sums_to_zero and abs(e.sum()) > MASS_TOL * max(1.0, np.abs(e).sum()):
-            raise ValueError("sums_to_zero flag set but entries do not sum to 0")
 
 
 @dataclass(frozen=True)
@@ -255,7 +252,7 @@ def truncate_signed(h: SignedVector, l: int) -> SignedVector:
     out[1:l] = h.entries[1:l]
     # math.fsum keeps the fold exact to the last bit over long tails
     out[0] = math.fsum(h.entries[:1].tolist() + h.entries[l:].tolist())
-    return SignedVector(h.space, out, sums_to_zero=h.sums_to_zero)
+    return SignedVector(h.space, out)
 
 
 def shannon_entropy(m: DiscreteMeasure) -> float:

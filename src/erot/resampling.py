@@ -9,12 +9,11 @@ is bit-reproducible under a fixed seed; ``threads`` parameters affect nothing.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import CostModel, ConditionReport
+from .costs import CostModel
 from .errors import ConfigParse, EmptyInput, NonUniquePotentials
 from .measures import Design, DiscreteMeasure, empirical_measure
 from .sinkhorn import SolveConfig, exact_ot_small, sinkhorn_divergence, solve
@@ -55,17 +54,12 @@ class ExperimentConfig:
             raise ConfigParse("sample sizes must be >= 2")
 
     @property
-    def delta(self) -> float | None:
-        if self.m is None:
-            return None
-        return self.m / (self.n + self.m)
-
-    @property
     def design(self) -> Design:
         """One sample from r without m; two samples, weighted (delta, 1 - delta), with it."""
         if self.m is None:
             return Design(1.0, 0.0)
-        return Design(self.delta, 1.0 - self.delta)
+        delta = self.m / (self.n + self.m)
+        return Design(delta, 1.0 - delta)
 
     @property
     def rate(self) -> float:
@@ -137,27 +131,26 @@ def _sample_from(measure: DiscreteMeasure, n: int, rng) -> DiscreteMeasure:
 
 
 def bootstrap_value(sample, s: DiscreteMeasure, m: CostModel, lam: float,
-                    B: int, seed, space=None, threads: int = 1,
+                    B: int, seed, threads: int = 1,
                     cfg: SolveConfig = SolveConfig()) -> np.ndarray:
     """n-out-of-n bootstrap draws sqrt(n)(EROT(r*, s) - EROT(r_hat, s)) from a
     sample of atom indices of the X space; `threads` affects nothing."""
-    return _bootstrap(sample, s, m, lam, B, seed, space, cfg, f=None)
+    return _bootstrap(sample, s, m, lam, B, seed, cfg, f=None)
 
 
 def bootstrap_plan_functional(sample, s: DiscreteMeasure, m: CostModel, lam: float,
-                              f: np.ndarray, B: int, seed, space=None,
-                              threads: int = 1,
+                              f: np.ndarray, B: int, seed, threads: int = 1,
                               cfg: SolveConfig = SolveConfig()) -> np.ndarray:
     """Bootstrap draws of sqrt(n)(<f, plan(r*, s)> - <f, plan(r_hat, s)>);
     `threads` affects nothing."""
-    return _bootstrap(sample, s, m, lam, B, seed, space, cfg, f=np.asarray(f, float))
+    return _bootstrap(sample, s, m, lam, B, seed, cfg, f=np.asarray(f, float))
 
 
-def _bootstrap(sample, s, m, lam, B, seed, space, cfg, f):
+def _bootstrap(sample, s, m, lam, B, seed, cfg, f):
     if B < 1:
         raise ValueError("B must be >= 1")
     sample = np.asarray(sample, dtype=int)
-    r_hat = empirical_measure(sample, space or m.space_X)
+    r_hat = empirical_measure(sample, m.space_X)
     base = solve(r_hat, s, m, lam, cfg)
     base_stat = base.value if f is None else float(np.sum(f * base.plan))
     n = sample.size
@@ -176,17 +169,10 @@ def _bootstrap(sample, s, m, lam, B, seed, space, cfg, f):
 
 
 def mc_clt_experiment(r: DiscreteMeasure, s: DiscreteMeasure, m: CostModel,
-                      cfg: ExperimentConfig,
-                      conditions: ConditionReport | None = None) -> MCReport:
+                      cfg: ExperimentConfig) -> MCReport:
     """Simulate the standardized plug-in statistic and compare its law to the
     Gaussian limit with plug-in population variance."""
     start = time.perf_counter()
-    if conditions is not None and conditions.verdict != "Pass":
-        warnings.warn(
-            f"summability check verdict is {conditions.verdict}; the limit "
-            "theorem may not apply",
-            RuntimeWarning,
-        )
     lam, design, solve_cfg = cfg.lam, cfg.design, cfg.solve_cfg
     if cfg.statistic == PLAN_FUNCTIONAL_CLT and np.shape(cfg.f) != m.cost.shape:
         raise ConfigParse(f"PlanFunctionalCLT needs a test table f of shape {m.cost.shape}")

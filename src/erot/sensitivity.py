@@ -54,7 +54,6 @@ factor, S being symmetric.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +123,7 @@ def build_operators(
     sol: SinkhornSolution,
     r: DiscreteMeasure,
     s: DiscreteMeasure,
-    m: CostModel | None = None,
+    m: CostModel,
 ) -> DerivativeOperators:
     """Factor the plan derivative's block system at a converged solution.
 
@@ -139,7 +138,7 @@ def build_operators(
 
     if np.any(r.weights <= 0) or np.any(s.weights <= 0):
         raise ZeroMassAtom("plan derivative requires full support of both marginals")
-    if m is not None and not m.bounded_x_variation:
+    if not m.bounded_x_variation:
         raise UnboundedXVariation(
             "plan derivative requires sup_x (cX+ - cX-)(x) < infinity"
         )
@@ -169,13 +168,6 @@ def build_operators(
         raise ContractionViolated(
             f"I - K K^T is numerically singular: smallest eigenvalue about "
             f"{min_eig:.1e}; worst relative marginal error {marginal_error:.1e}"
-        )
-    if norm > 0.999:
-        gap = f"1 - {1.0 - norm:.1e}" if norm <= 1.0 else f"1 + {norm - 1.0:.1e}"
-        warnings.warn(
-            f"AX AY contraction norm is {gap}, close to 1; derivative may be "
-            f"ill-conditioned (smallest eigenvalue of I - K K^T about {min_eig:.1e})",
-            RuntimeWarning,
         )
     return DerivativeOperators(
         base=sol, r=r, s=s, contraction_norm=norm, schur_min_eig=min_eig,

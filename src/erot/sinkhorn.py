@@ -156,6 +156,17 @@ def _gibbs_start(rr: np.ndarray, ss: np.ndarray, cost: np.ndarray, c_min: float,
     return np.zeros(rr.size), np.full(ss.size, c_min), u, v
 
 
+def _refuse_cut_off_atoms(m: CostModel, rw: np.ndarray, sw: np.ndarray) -> None:
+    """InvalidFamilyParams naming an atom whose cost is +inf at every atom of
+    the other side with mass: no plan reaches it.  Reads row blocks."""
+    for cost, space, mass, other in ((m.cost, m.space_X, sw, "s"), (m.cost.T, m.space_Y, rw, "r")):
+        for rows in row_blocks(*cost.shape):
+            reached = np.isfinite(cost[rows]) @ (mass > 0)
+            if not reached.all():
+                label = space.labels[rows.start + int(np.argmin(reached))]
+                raise InvalidFamilyParams(f"atom {label!r} has cost +inf wherever {other} has mass")
+
+
 def solve(
     r: DiscreteMeasure,
     s: DiscreteMeasure,
@@ -178,6 +189,10 @@ def solve(
     rw, sw = r.weights, s.weights
     if not (rw.min() >= 0 and sw.min() >= 0):  # false for a NaN weight too
         raise NegativeWeight("solve needs nonnegative, non-NaN weights in r and s")
+    # the full table's range: it bounds the support's, and +inf in it may cut atoms off
+    c_min, c_max = m.cost_range
+    if c_max == np.inf:
+        _refuse_cut_off_atoms(m, rw, sw)
     ix = np.flatnonzero(rw > 0)
     iy = np.flatnonzero(sw > 0)
     off_x = np.flatnonzero(rw == 0)
@@ -193,8 +208,6 @@ def solve(
     # kernel K = exp((alpha + beta - c)/lam) s held in `work`
     start = None
     if warm_start is None:
-        # the full table's range bounds the support's
-        c_min, c_max = m.cost_range
         if c_max - c_min <= lam * np.log(SCALING_BOUND):
             start = _gibbs_start(rr, ss, c, c_min, lam, work)
     if start is not None:
@@ -782,13 +795,9 @@ class GapReport:
     sinkhorn_costs: tuple
     chain_holds: bool
 
-    @property
-    def ot_value(self) -> float:
-        return self.ot.value
-
     def to_dict(self) -> dict:
         return {
-            "ot_value": self.ot_value,
+            "ot_value": self.ot.value,
             "entropy_bound": self.entropy_bound,
             "lambdas": list(self.lambdas),
             "erot_values": list(self.erot_values),

@@ -286,8 +286,7 @@ class TestSinkhornCostCLT:
         # through the multinomial covariance
         r, s, m, _ = reference_instance
         sol = erot.solve(r, s, m, 1.0)
-        with pytest.warns(RuntimeWarning):
-            ops = build_operators(sol, r, s, m)
+        ops = build_operators(sol, r, s, m)
         target = sinkhorn_cost_variance(ops, r, s, m)
         g = np.zeros(r.space.size)
         t = 1e-6
@@ -380,8 +379,8 @@ class TestVanishingLambda:
             assert report.chain_holds
             for lam, v, c in zip(report.lambdas, report.erot_values,
                                  report.sinkhorn_costs):
-                assert report.ot_value - 1e-9 <= c <= v + 1e-12
-                assert v <= report.ot_value + lam * report.entropy_bound + 1e-9
+                assert report.ot.value - 1e-9 <= c <= v + 1e-12
+                assert v <= report.ot.value + lam * report.entropy_bound + 1e-9
 
     def test_plugin_variance_consistent_under_schedule(self):
         sp = erot.integer_grid(6)

@@ -329,6 +329,25 @@ class TestStochasticCommands:
         manifest = json.loads((tmp / "mc.manifest.json").read_text())
         assert manifest["runtime"] > 0
 
+    def test_mc_clt_writes_a_failed_condition_verdict(self, tmp_path):
+        # a polynomial(2) tail fails the sampled side's sum C_X sqrt(r): the
+        # run goes ahead, and the verdict is in the payload
+        sp = erot.integer_grid(20)
+        r, s = erot.polynomial_measure(sp, 2.0), erot.geometric_measure(sp, 0.5)
+        files = [{"labels": list(range(20)), "weights": r.weights.tolist(),
+                  "tail": {"kind": "polynomial", "a": 2}},
+                 {"labels": list(range(20)), "weights": s.weights.tolist(),
+                  "tail": {"kind": "geometric", "q": 0.5}}]
+        paths = _write_instance(tmp_path, *files, {"family": "bounded", "p": 1})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 100, "replications": 2, "seed": 0}))
+        out = tmp_path / "mc.json"
+        assert main(["mc-clt", *_base(paths, "--config", str(cfg), "--out", str(out))]) == 0
+        conditions = json.loads(out.read_text())["conditions"]
+        assert conditions["verdict"] == "Fail"
+        first = conditions["sums"][0]
+        assert (first["description"], first["verdict"]) == ("sum C_X sqrt(r)", "diverges")
+
     def test_mc_clt_honours_max_iter(self, instance, capsys):
         paths, tmp = instance
         cfg = tmp / "cfg.json"
@@ -433,6 +452,52 @@ def test_ot_exact_with_a_forbidden_cell_exit_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "InvalidFamilyParams" and "finite costs" in err["message"]
     assert not (tmp_path / "ot.json").exists()
+
+
+_CUT_OFF_ROW = [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [math.inf] * 4]
+
+
+@pytest.mark.parametrize("cost, weights, message", [
+    (_CUT_OFF_ROW, [0.4, 0.3, 0.3, 0.0], "atom 3 has cost +inf wherever s has mass"),
+    (_CUT_OFF_ROW, [0.4, 0.3, 0.2, 0.1], "atom 3 has cost +inf wherever s has mass"),
+    (np.transpose(_CUT_OFF_ROW).tolist(), [0.4, 0.3, 0.2, 0.1],
+     "atom 3 has cost +inf wherever r has mass"),
+], ids=["row-without-mass", "row-with-mass", "column-with-mass"])
+def test_solve_refuses_an_atom_cut_off_by_infinite_costs(tmp_path, capsys, cost, weights,
+                                                          message):
+    # the potential of such an atom is +inf: it used to spread NaN through the
+    # gauge shift, or to keep the iteration from converging
+    measure = {"labels": [0, 1, 2, 3], "weights": weights}
+    paths = _write_instance(tmp_path, measure, measure, {"family": "custom", "cost": cost})
+    out = tmp_path / "sol.json"
+    code = main(["solve", *_base(paths, "--lambda", "1", "--max-iter", "50",
+                                 "--out", str(out))])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "InvalidFamilyParams", "message": message}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, text", [
+    ("f.json", "3"),
+    ("f.json", json.dumps({"functions": [np.eye(3).tolist()]})),
+    ("f.json", json.dumps([[[1, 0, 0], [0, "x", 0], [0, 0, 1]]])),
+    ("f.json", "[[[1, 0, 0], [0, null, 0], [0, 0, 1]]]"),
+    ("f.json", json.dumps([np.eye(2).tolist()])),
+    ("f.csv", "1,0,0\n0,x,0\n0,0,1\n"),
+    ("missing.csv", None),
+], ids=["json-number", "json-object", "json-non-number", "json-null", "json-wrong-shape",
+        "csv-non-number", "csv-missing"])
+def test_malformed_function_file_is_config_parse_naming_it(instance, capsys, name, text):
+    paths, tmp = instance
+    fns = tmp / name
+    if text is not None:
+        fns.write_text(text)
+    code = main(["plan-cov", *_base(paths, "--lambda", "1", "--functions", str(fns),
+                                    "--out", str(tmp / "c.json"))])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigParse" and str(fns) in err["message"]
 
 
 def test_ot_exact_keeps_every_atom_of_a_long_tail(tmp_path):
@@ -615,7 +680,7 @@ def test_bootstrap_functions_draws_match_library(instance, capsys):
     sample = np.random.default_rng(ss[0]).choice(3, size=80, p=r.weights)
     want = tmp / "want.csv"
     erot.io.write_draws_csv(
-        bootstrap_plan_functional(sample, s, model, 1.0, f, 5, ss[1], r.space), want)
+        bootstrap_plan_functional(sample, s, model, 1.0, f, 5, ss[1]), want)
     assert out.with_suffix(".draws.csv").read_bytes() == want.read_bytes()
 
     fns.write_text(json.dumps([f.tolist(), np.eye(3).tolist()]))

@@ -248,6 +248,22 @@ class TestConditionChecks:
         assert report.verdict == "Pass"
         assert report.checked_sums[0].partial_sum == pytest.approx(2 * 3 * math.sqrt(0.5))
 
+    def test_increment_ratio_reads_only_atoms_with_mass(self):
+        # the last row and column hold a forbidden cell, so the last atom's
+        # weights are infinite; without mass it must not enter the ratio
+        cost = np.add.outer(np.arange(5.0), np.arange(5.0))
+        cost[4, 4] = math.inf
+        sp = erot.integer_grid(5)
+        _, prof = erot.build_cost({"family": "custom", "cost": cost}, sp, sp, 1.0)
+        r = erot.validate_measure([0.3, 0.25, 0.2, 0.25, 0.0], sp, tail=None)
+        sums = erot.check_value_conditions(r, r, prof).checked_sums
+        # X, sampled: C_X sqrt(r) over atoms 2 and 3
+        expected = prof.C_X.values[3] * math.sqrt(0.25) / (prof.C_X.values[2] * math.sqrt(0.2))
+        assert sums[0].detail == f"increment ratio {expected:.4g}"
+        # Y, fixed: C_Y = 1, so the ratio is s_3 / s_2 and not 0 from the last atom
+        assert sums[3].detail == f"increment ratio {0.25 / 0.2:.4g}"
+        assert all(c.detail != "increment ratio nan" for c in sums)
+
     def test_unclassified_tail_is_inconclusive(self):
         sp = erot.integer_grid(8)
         w = np.full(8, 1 / 8)

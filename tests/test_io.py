@@ -172,8 +172,8 @@ class TestArtifacts:
         inp = tmp_path / "in.json"
         inp.write_text("{}")
         man = tmp_path / "run.manifest.json"
-        io.write_manifest(man, "solve", {"lambda": 1.0}, [inp],
-                          ["out.json"], seed=5, seed_used=True, runtime=0.25)
+        io.write_manifest(man, "solve", {"lambda": 1.0, "seed": 5}, [inp],
+                          ["out.json"], runtime=0.25)
         got = json.loads(man.read_text())
         assert got["subcommand"] == "solve"
         assert got["seed"] == 5 and got["seed_used"] is True

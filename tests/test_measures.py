@@ -93,13 +93,6 @@ def test_geometric_measure_shape():
     assert math.isclose(m.weights.sum(), 1.0, abs_tol=1e-15)
 
 
-def test_signed_vector_zero_sum_flag():
-    sp = erot.integer_grid(3)
-    erot.SignedVector(sp, np.array([1.0, -0.5, -0.5]), sums_to_zero=True)
-    with pytest.raises(ValueError):
-        erot.SignedVector(sp, np.array([1.0, 0.0, 0.0]), sums_to_zero=True)
-
-
 @given(
     entries=st.lists(
         st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),

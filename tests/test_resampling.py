@@ -156,17 +156,6 @@ class TestMCExperiment:
         cfg = ExperimentConfig(statistic=DIVERGENCE_CLT, n=400, replications=3, seed=2)
         assert mc_clt_experiment(r, s, m, cfg).standardized_draws.shape == (3,)
 
-    def test_failed_conditions_warn(self):
-        sp = erot.integer_grid(20)
-        poly = erot.polynomial_measure(sp, 2.0)
-        geo = erot.geometric_measure(sp, 0.5)
-        m, prof = erot.build_cost({"family": "bounded", "p": 1}, sp, sp, 1.0)
-        report = erot.check_value_conditions(poly, geo, prof)
-        assert report.verdict == "Fail"
-        cfg = ExperimentConfig(statistic=VALUE_CLT, n=100, replications=2, seed=0)
-        with pytest.warns(RuntimeWarning):
-            mc_clt_experiment(poly, geo, m, cfg, conditions=report)
-
     def test_two_sample_reproducible_with_delta_weighted_target(self):
         r, s, m = _instance(8)
         cfg = ExperimentConfig(statistic=VALUE_CLT, n=150, m=250, replications=15, seed=6)
@@ -183,7 +172,7 @@ class TestMCExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(n=1)
         cfg = ExperimentConfig(n=100, m=300)
-        assert cfg.delta == pytest.approx(0.75)
+        assert cfg.design.w_r == pytest.approx(0.75)
         assert cfg.rate == pytest.approx(np.sqrt(100 * 300 / 400))
 
 

@@ -1,4 +1,3 @@
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -72,7 +71,7 @@ class TestOperators:
             {"family": "custom", "cost": f[:, None] + np.zeros((3, 3))}, sp, sp, 1.0
         )
         sol = erot.solve(r, s, m, 1.0)
-        ops = build_operators(sol, r, s)
+        ops = build_operators(sol, r, s, m)
         # pi = r x s: AX columns are the s-masses, AY columns the r-masses
         assert np.allclose(ops.AX, np.broadcast_to(s.weights[1:], (3, 2)), atol=1e-9)
         assert np.allclose(ops.AY, np.broadcast_to(r.weights, (2, 3)), atol=1e-9)
@@ -387,8 +386,7 @@ class TestNeumannAndConditioning:
         g = erot.geometric_measure(sp, 0.7)
         m, _ = erot.build_cost({"family": "bounded", "p": 1}, sp, sp, 1.0)
         sol = erot.solve(g, g, m, 1.0)
-        with pytest.warns(RuntimeWarning, match=r"contraction norm is 1 - 4\.5e-08"):
-            ops = build_operators(sol, g, g, m)
+        ops = build_operators(sol, g, g, m)
         assert 1.0 - ops.contraction_norm == pytest.approx(4.5e-8, rel=0.05)
 
 
@@ -418,13 +416,6 @@ def _relative_tangent(measure, rng):
     return erot.SignedVector(measure.space, w * z - (w @ z) * w)
 
 
-def _operators_quietly(sol, r, s, m):
-    """build_operators without the near-1 contraction-norm warning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return build_operators(sol, r, s, m)
-
-
 class TestTails:
     @pytest.mark.parametrize("family", ["geometric", "polynomial"])
     @pytest.mark.parametrize("n", [30, 60, 120])
@@ -432,8 +423,7 @@ class TestTails:
         # ||AX AY||_inf passes 1 on these tails, yet S stays well conditioned
         w, m = _tail(family, n)
         sol = erot.solve(w, w, m, 1.0)
-        with pytest.warns(RuntimeWarning, match=r"contraction norm is 1 \+ \d"):
-            ops = build_operators(sol, w, w, m)
+        ops = build_operators(sol, w, w, m)
         assert ops.contraction_norm > 1.0
         assert ops.schur_min_eig > 1e-3
         cov = functional_covariance(ops, w, w, [m.cost, np.ones((n, n))])
@@ -448,7 +438,7 @@ class TestTails:
         # solve to 1e-15 and directions that move mass in proportion to the
         # weights take that below 1e-12.
         tight = erot.solve(w, w, m, 1.0, erot.SolveConfig(tol=1e-15))
-        ops = _operators_quietly(tight, w, w, m)
+        ops = build_operators(tight, w, w, m)
         hX, hY = _relative_tangent(w, rng), _relative_tangent(w, rng)
         d = plan_derivative(ops, hX, hY)
         assert np.max(np.abs(d.sum(axis=1) - hX.entries)) <= 1e-12
@@ -460,7 +450,7 @@ class TestTails:
         # the Neumann sum stops on the spectral gap schur_min_eig, since
         # 1 - ||AX AY||_inf is negative here
         w, m = _tail(family, n)
-        ops = _operators_quietly(erot.solve(w, w, m, 1.0), w, w, m)
+        ops = build_operators(erot.solve(w, w, m, 1.0), w, w, m)
         rng = np.random.default_rng(n)
         hX, hY = _tangent(w.space, rng.normal(size=n)), _tangent(w.space, rng.normal(size=n))
         d = plan_derivative(ops, hX, hY)
@@ -490,8 +480,7 @@ class TestSchurGate:
     def test_min_eig_estimate_on_reference_instance(self):
         w, m = _tail("geometric", 21)
         sol = erot.solve(w, w, m, 1.0)
-        with pytest.warns(RuntimeWarning):
-            ops = build_operators(sol, w, w, m)
+        ops = build_operators(sol, w, w, m)
         K = sol.plan[:, 1:] / np.sqrt(np.outer(w.weights, w.weights[1:]))
         S = np.eye(21) - K @ K.T
         L = np.linalg.cholesky(S)
@@ -518,7 +507,7 @@ class TestOracles:
             r, m = _tail(case, n)
             s = r
         sol = erot.solve(r, s, m, 1.0, cfg)
-        ops = _operators_quietly(sol, r, s, m)
+        ops = build_operators(sol, r, s, m)
         rng = np.random.default_rng(61)
         hX, hY = _relative_tangent(r, rng), _relative_tangent(s, rng)
         d = plan_derivative(ops, hX, hY)
@@ -534,7 +523,7 @@ class TestOracles:
     def test_cholesky_solves_against_dense_block_system(self):
         n = 300
         r, s, m = _dirichlet_instance(n, 300)
-        ops = _operators_quietly(erot.solve(r, s, m, 1.0), r, s, m)
+        ops = build_operators(erot.solve(r, s, m, 1.0), r, s, m)
         pi, w_r, w_s = ops.base.plan, r.weights, s.weights
         AX, AY, BX, BY = ops.AX, ops.AY, ops.BX, ops.BY
         # [[I, AX], [AY, I]] (a, b) = (u, v), of size nx + ny - 1

@@ -809,13 +809,13 @@ class TestVanishingGap:
         r, s, m = _random_instance(rng, 6, 6)
         report = erot.vanishing_reg_gap(r, s, m, [1.0, 0.5, 0.1, 0.01])
         assert report.chain_holds
-        gaps = np.asarray(report.erot_values) - report.ot_value
+        gaps = np.asarray(report.erot_values) - report.ot.value
         assert np.all(gaps >= -1e-9)
         assert gaps[-1] <= gaps[0]
-        assert gaps[-1] <= 1e-1 * (1 + abs(report.ot_value))
+        assert gaps[-1] <= 1e-1 * (1 + abs(report.ot.value))
         # the entropic value never exceeds OT plus lambda times the entropy cap
         for lam, v in zip(report.lambdas, report.erot_values):
-            assert v <= report.ot_value + lam * report.entropy_bound + 1e-9
+            assert v <= report.ot.value + lam * report.entropy_bound + 1e-9
 
 
 class TestForbiddenCellsAndUnvalidatedWeights:

@@ -6,9 +6,9 @@ One executable with file-based I/O::
 
 Each subcommand takes exactly the flags its handler reads (``COMMANDS``; types
 and defaults in ``FLAGS``): ``--seed`` only derivative-check, bootstrap, mc-clt
-and vanishing-lambda, ``--threads`` only the last three.  A flag the subcommand
-takes falls back to EROT_<FLAG> (``--max-iter`` to EROT_MAX_ITER; the flag
-wins); variables for flags it does not take are ignored.
+and vanishing-lambda, ``--delta`` only variance and plan-cov.  A flag the
+subcommand takes falls back to EROT_<FLAG> (``--max-iter`` to EROT_MAX_ITER;
+the flag wins); variables for flags it does not take are ignored.
 
 mc-clt and vanishing-lambda read an experiment file (--config): a JSON object
 whose keys are those of ``MC_CLT_KEYS`` or ``VANISHING_LAMBDA_KEYS``.  A key
@@ -19,11 +19,11 @@ and an unknown key exits 2.
 Exit codes: 0 success, 2 validation/configuration error (an unknown flag, a
 flag the subcommand does not take and a malformed value, in a flag or an
 experiment file, included), 3 solver non-convergence; the last stderr line is
-then a JSON object with "error" and "message".  The manifest next to each
-output records the resolved value of every flag the subcommand takes, a
-SHA-256 digest of every input file read, the seed (``seed_used``: the
-subcommand takes ``--seed``), the artifacts and, for bootstrap, mc-clt and
-vanishing-lambda, the runtime.
+then a JSON object with "error", "message" and the exception's attributes
+(``_error_payload``).  The manifest next to each output records the resolved
+value of every flag the subcommand takes, a SHA-256 digest of every input file
+read, the seed (``seed_used``: the subcommand takes ``--seed``), the artifacts
+and, for bootstrap, mc-clt and vanishing-lambda, the runtime.
 
 Start-up is kept small: importing this module loads no scipy module, and a
 subcommand imports only the scipy modules its computation uses (scipy.linalg
@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import operator
 import os
 import sys
@@ -98,7 +99,6 @@ FLAGS = {
     "seed": (int, 0),
     "n": (int, None),
     "B": (int, 1000),
-    "threads": (int, 1),
     "config": (str, None),
     "lambdas": (str, None),
 }
@@ -296,10 +296,9 @@ def _cmd_bootstrap(a):
     cfg = _solve_cfg(a)
     start = time.perf_counter()
     if fns:
-        draws = bootstrap_plan_functional(
-            sample, s, model, a.lam, fns[0], a.B, ss[1], a.threads, cfg)
+        draws = bootstrap_plan_functional(sample, s, model, a.lam, fns[0], a.B, ss[1], cfg=cfg)
     else:
-        draws = bootstrap_value(sample, s, model, a.lam, a.B, ss[1], a.threads, cfg)
+        draws = bootstrap_value(sample, s, model, a.lam, a.B, ss[1], cfg=cfg)
     runtime = time.perf_counter() - start
     draws_csv = Path(a.out).with_suffix(".draws.csv")
     io.write_draws_csv(draws, draws_csv)
@@ -319,8 +318,7 @@ def _cmd_mc_clt(a):
     # the manifest records the lambda and seed used
     a.lam = entries.pop("lambda", a.lam)
     a.seed = entries.pop("seed", a.seed)
-    cfg = ExperimentConfig(**entries, lam=a.lam, seed=a.seed, threads=a.threads,
-                           solve_cfg=_solve_cfg(a))
+    cfg = ExperimentConfig(**entries, lam=a.lam, seed=a.seed, solve_cfg=_solve_cfg(a))
     r, s, model, profile = _load_instance(a, a.lam)
     conditions = check_value_conditions(r, s, profile, cfg.design)
     report = mc_clt_experiment(r, s, model, cfg)
@@ -337,8 +335,7 @@ def _cmd_vanishing_lambda(a):
     entries = _experiment(a.config, VANISHING_LAMBDA_KEYS)
     a.seed = entries.pop("seed", a.seed)
     r, s, model, _ = _load_instance(a, 1.0)
-    report = vanishing_lambda_experiment(r, s, model, **entries, seed=a.seed,
-                                         threads=a.threads)
+    report = vanishing_lambda_experiment(r, s, model, **entries, seed=a.seed)
     draws_csv = Path(a.out).with_suffix(".draws.csv")
     io.write_draws_csv(report.standardized_draws, draws_csv)
     return report.to_dict(), [draws_csv]
@@ -385,11 +382,11 @@ COMMANDS = {
     "derivative-check": (_cmd_derivative_check, "derivative_check.json",
                          ("seed", "ts", *SOLVED)),
     "bootstrap": (_cmd_bootstrap, "bootstrap.json",
-                  ("seed", "n!", "B", "threads", *SOLVED, "functions")),
+                  ("seed", "n!", "B", *SOLVED, "functions")),
     "mc-clt": (_cmd_mc_clt, "mc_clt.json",
-               ("config!", "lambda", *INSTANCE, *SOLVE_CFG, "seed", "threads")),
+               ("config!", "lambda", *INSTANCE, *SOLVE_CFG, "seed")),
     "vanishing-lambda": (_cmd_vanishing_lambda, "vanishing_lambda.json",
-                         ("config!", *INSTANCE, "seed", "threads")),
+                         ("config!", *INSTANCE, "seed")),
     "ot-exact": (_cmd_ot_exact, "ot_exact.json", (*INSTANCE, "lambdas")),
 }
 
@@ -458,13 +455,12 @@ def _write(subcommand: str, a, payload: dict, artifacts) -> None:
 
 
 def _error_payload(exc: Exception) -> str:
-    """One JSON line for stderr; NonConvergence adds its iteration count and
-    final residual (null when unset or, for the residual, not finite)."""
+    """One JSON line for stderr: the error, its message and every attribute of
+    the exception, numpy scalars as Python numbers and non-finite ones as null."""
     payload = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, NonConvergence):
-        it, res = exc.iterations, exc.residual
-        payload["iterations"] = None if it is None else int(it)
-        payload["residual"] = float(res) if res is not None and np.isfinite(res) else None
+    for key, value in vars(exc).items():
+        value = value.item() if isinstance(value, np.generic) else value
+        payload[key] = None if isinstance(value, float) and not math.isfinite(value) else value
     return json.dumps(payload)
 
 

@@ -26,6 +26,8 @@ from .errors import (
     SeparabilityViolated,
 )
 from .measures import (
+    ONE_SAMPLE_R,
+    TWO_SAMPLE,
     Design,
     DiscreteMeasure,
     IndexedSpace,
@@ -256,7 +258,6 @@ def build_cost(family_spec: dict, space_X: IndexedSpace, space_Y: IndexedSpace, 
         "bounded": _build_bounded,
         "metric_power": _build_metric_power,
         "separability": _build_separability,
-        "norm_power": _build_metric_power,  # same construction, norm metric
         "custom": _build_custom,
     }
     if family not in builders:
@@ -420,6 +421,11 @@ def shift_nonnegative(m: CostModel, r: DiscreteMeasure, s: DiscreteMeasure):
     Returns the shifted model and the offset with value(c) = value(c~) + offset.
     """
     dom = m.dom_primary
+    for side, space, lower in (("X", m.space_X, dom.cX_minus), ("Y", m.space_Y, dom.cY_minus)):
+        if not np.isfinite(lower).all():
+            i = int(np.argmin(np.isfinite(lower)))
+            raise InvalidFamilyParams(f"atom {space.labels[i]!r} of {side} has the infinite "
+                                      f"lower dominating bound {lower[i]}; no shift removes it")
     offset = float(dom.cX_minus @ r.weights + dom.cY_minus @ s.weights)
     shifted_cost = m.cost - dom.cX_minus[:, None]
     shifted_cost -= dom.cY_minus[None, :]
@@ -468,15 +474,13 @@ class ConditionReport:
         }
 
 
-def _tail_term(tail: TailFamily, power: float) -> Growth | None:
-    """Growth of r_i**power as a (negative-gamma) shape, or None if unknown."""
+def _tail_term(tail: TailFamily, power: float) -> Growth:
+    """Growth of r_i**power as a (negative-gamma) shape; finite is the caller's."""
     if tail.kind == "geometric":
         return Growth(0.0, -math.log(1.0 / tail.q) * power, 1.0)
     if tail.kind == "polynomial":
         return Growth(-tail.a * power, 0.0, 0.0)
-    if tail.kind == "subweibull":
-        return Growth(0.0, -tail.gamma * power, tail.theta)
-    return None  # finite handled by the caller
+    return Growth(0.0, -tail.gamma * power, tail.theta)  # subweibull
 
 
 def _series_verdict(weight: Growth, tail: TailFamily | None, power: float) -> tuple[str, str]:
@@ -547,13 +551,13 @@ def check_value_conditions(
     r: DiscreteMeasure,
     s: DiscreteMeasure,
     profile: WeightProfile,
-    mode: str | Design = "one_sample",
+    mode: str | Design = ONE_SAMPLE_R,
 ) -> ConditionReport:
     """Summability gates for the value limit theorem.  Each side's gates
     depend on whether it is sampled: r is fixed only under "one_sample_s",
-    s is fixed under "one_sample" and "one_sample_r"."""
-    # only which sides are sampled matters, so any delta in (0, 1) will do
-    design = Design.of(mode, 0.5)
+    s only under "one_sample_r"."""
+    # only which sides are sampled matters, so "two_sample" takes any delta
+    design = Design.of(mode, 0.5 if mode == TWO_SAMPLE else None)
     sums = (_value_gates(profile, r, "r", ("C_X", "Ct_X", "et_X"), bool(design.w_r))
             + _value_gates(profile, s, "s", ("Ct_Y", "C_Y", "e_Y"), bool(design.w_s)))
     return _aggregate(sums, "value_clt")

@@ -49,9 +49,9 @@ class NonConvergence(ErotError):
 
 
 class MarginalMismatch(ErotError):
-    def __init__(self, message, error=None, atom=None, weight=None):
+    def __init__(self, message, relative_error=None, atom=None, weight=None):
         super().__init__(message)
-        self.error = error  # the worst relative marginal error
+        self.relative_error = relative_error  # the worst relative marginal error
         self.atom = atom  # the label of the atom it is at
         self.weight = weight  # that atom's weight
 
@@ -89,5 +89,5 @@ class EmptyInput(ErotError):
 
 
 class ConfigParse(ErotError, ValueError):
-    """A flag, environment variable or sampling-mode spelling that names no
-    known setting; also a ValueError, as unknown modes always were."""
+    """A flag, variable, file entry or mode that names no known setting, or a
+    value no setting reads; also a ValueError, as unknown modes always were."""

@@ -87,29 +87,19 @@ def sha256_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-# the parameters of each tail family, as keys of the measure file's "tail"
-_TAIL_PARAMS = {"geometric": ("q",), "polynomial": ("a",),
-                "subweibull": ("gamma", "theta"), "finite": ()}
-
-
 def _parse_tail(spec, path) -> TailFamily:
+    """The measure file's "tail" object as a TailFamily; a refusal names the file."""
     if spec is None:
         return FINITE_TAIL
-    if not isinstance(spec, dict):
+    if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigParse(f"'tail' in measure file {path} must be an object with 'kind'")
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in _TAIL_PARAMS:
-        raise ConfigParse(f"unknown tail family {kind!r} in measure file {path}")
-    params = {}
-    for key in _TAIL_PARAMS[kind]:
-        if key not in spec:
-            raise ConfigParse(f"{kind} tail in measure file {path} needs '{key}'")
-        try:
-            params[key] = float(spec[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigParse(
-                f"bad value for tail '{key}' in measure file {path}: {spec[key]}") from exc
-    return TailFamily(kind=kind, **params) if params else FINITE_TAIL
+    unknown = [key for key in spec if key not in TailFamily.__dataclass_fields__]
+    if unknown:
+        raise ConfigParse(f"unknown tail keys {unknown} in measure file {path}")
+    try:
+        return TailFamily(**spec)
+    except ValueError as exc:
+        raise ConfigParse(f"measure file {path}: {exc}") from exc
 
 
 def load_measure(path) -> DiscreteMeasure:

@@ -12,6 +12,7 @@ finitely supported measure or an unclassified truncation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,6 @@ from .errors import (
 MASS_TOL = 1e-12
 RENORM_TOL = 1e-9
 
-ONE_SAMPLE = "one_sample"
 ONE_SAMPLE_R = "one_sample_r"
 ONE_SAMPLE_S = "one_sample_s"
 TWO_SAMPLE = "two_sample"
@@ -74,13 +74,19 @@ def integer_grid(n: int, start: int = 0) -> IndexedSpace:
     return IndexedSpace(tuple(str(p) for p in pts), coords=pts.astype(float))
 
 
+# each tail kind's parameters (TailFamily fields) and the open interval of each
+TAIL_PARAMS = {"geometric": {"q": (0.0, 1.0)}, "polynomial": {"a": (1.0, math.inf)},
+               "subweibull": {"gamma": (0.0, math.inf), "theta": (0.0, math.inf)}, "finite": {}}
+
+
 @dataclass(frozen=True)
 class TailFamily:
-    """Analytic tail description of a measure on an enumerated space.
+    """Analytic tail description of a measure on an enumerated space; the
+    kind and its parameters (TAIL_PARAMS) are checked at construction.
 
-    kind "geometric":   r_i ~ q**i            (param q in (0,1))
-    kind "polynomial":  r_i ~ i**(-a)         (param a > 1)
-    kind "subweibull":  r_i ~ exp(-g * i**t)  (params g > 0, t > 0)
+    kind "geometric":   r_i ~ q**i            (0 < q < 1)
+    kind "polynomial":  r_i ~ i**(-a)         (finite a > 1)
+    kind "subweibull":  r_i ~ exp(-g * i**t)  (finite g > 0 and t > 0)
     kind "finite":      exact finite support, no tail at all
     """
 
@@ -91,8 +97,18 @@ class TailFamily:
     theta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("geometric", "polynomial", "subweibull", "finite"):
+        if not isinstance(self.kind, str) or self.kind not in TAIL_PARAMS:
             raise ValueError(f"unknown tail family {self.kind!r}")
+        ranges = TAIL_PARAMS[self.kind]
+        for key in ("q", "a", "gamma", "theta"):
+            if key not in ranges and getattr(self, key) is not None:
+                raise ValueError(f"{self.kind} tail takes no '{key}'")
+        for key, (lo, hi) in ranges.items():
+            value = getattr(self, key)
+            if not (isinstance(value, numbers.Real) and lo < value < hi):
+                raise ValueError(f"{self.kind} tail needs '{key}' in ({lo:g}, {hi:g}), "
+                                 f"not {value!r}")
+            object.__setattr__(self, key, float(value))
 
 
 FINITE_TAIL = TailFamily("finite")
@@ -146,19 +162,19 @@ class Design:
 
     @classmethod
     def of(cls, mode, delta: float | None = None) -> "Design":
-        """The design a mode spelling names ("one_sample" is "one_sample_r";
-        "two_sample" needs delta in (0, 1)); a Design passes through."""
+        """The design a mode names (a Design passes through); only "two_sample"
+        reads delta, which must lie in (0, 1), and any other mode refuses one."""
+        if mode == TWO_SAMPLE:
+            if not (delta is not None and 0.0 < delta < 1.0):
+                raise ValueError("two-sample mode needs delta in (0, 1)")
+            return cls(delta, 1.0 - delta)
+        if not (isinstance(mode, Design) or mode in (ONE_SAMPLE_R, ONE_SAMPLE_S)):
+            raise ConfigParse(f"unknown sampling mode {mode!r}")
+        if delta is not None:
+            raise ConfigParse(f"delta is read only by mode {TWO_SAMPLE!r}, not by {mode!r}")
         if isinstance(mode, Design):
             return mode
-        if mode in (ONE_SAMPLE, ONE_SAMPLE_R):
-            return cls(1.0, 0.0)
-        if mode == ONE_SAMPLE_S:
-            return cls(0.0, 1.0)
-        if mode != TWO_SAMPLE:
-            raise ConfigParse(f"unknown sampling mode {mode!r}")
-        if not (delta is not None and 0.0 < delta < 1.0):
-            raise ValueError("two-sample mode needs delta in (0, 1)")
-        return cls(delta, 1.0 - delta)
+        return cls(1.0, 0.0) if mode == ONE_SAMPLE_R else cls(0.0, 1.0)
 
     def combine(self, r_term, s_term):
         """w_r r_term() + w_s s_term(); the term of a side of weight 0 is not
@@ -213,26 +229,19 @@ def truncated_measure(
 
 
 def geometric_measure(space: IndexedSpace, q: float) -> DiscreteMeasure:
-    if not 0 < q < 1:
-        raise ValueError("geometric ratio must lie in (0,1)")
-    i = np.arange(space.size)
-    return truncated_measure(q**i, space, tail=TailFamily("geometric", q=q))
+    tail = TailFamily("geometric", q=q)
+    return truncated_measure(q ** np.arange(space.size), space, tail=tail)
 
 
 def polynomial_measure(space: IndexedSpace, a: float) -> DiscreteMeasure:
-    if a <= 1:
-        raise ValueError("polynomial exponent must exceed 1 for summability")
-    i = np.arange(1, space.size + 1, dtype=float)
-    return truncated_measure(i**-a, space, tail=TailFamily("polynomial", a=a))
+    tail = TailFamily("polynomial", a=a)
+    return truncated_measure(np.arange(1, space.size + 1, dtype=float) ** -a, space, tail=tail)
 
 
 def subweibull_measure(space: IndexedSpace, gamma: float, theta: float) -> DiscreteMeasure:
-    if gamma <= 0 or theta <= 0:
-        raise ValueError("sub-Weibull parameters must be positive")
+    tail = TailFamily("subweibull", gamma=gamma, theta=theta)
     i = np.arange(space.size, dtype=float)
-    return truncated_measure(
-        np.exp(-gamma * i**theta), space, tail=TailFamily("subweibull", gamma=gamma, theta=theta)
-    )
+    return truncated_measure(np.exp(-gamma * i**theta), space, tail=tail)
 
 
 def weighted_l1_norm(a: SignedVector, w: WeightFunction) -> float:

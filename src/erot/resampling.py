@@ -3,7 +3,8 @@
 A replication is one count draw, n r_hat ~ Multinomial(n, r) (for a bootstrap
 resample n r* ~ Multinomial(n, r_hat)), and one warm-started solve.  Replications
 run in order on generators spawned from one seed sequence, so every experiment
-is bit-reproducible under a fixed seed; ``threads`` parameters affect nothing.
+is bit-reproducible under a fixed seed.  The ``threads`` parameters affect
+nothing; they remain for callers that pass them, and the CLI has no such flag.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .costs import CostModel
 from .errors import ConfigParse, EmptyInput, NonUniquePotentials
-from .measures import Design, DiscreteMeasure, empirical_measure
+from .measures import ONE_SAMPLE_R, TWO_SAMPLE, Design, DiscreteMeasure, empirical_measure
 from .sinkhorn import SolveConfig, exact_ot_small, sinkhorn_divergence, solve
 from .sensitivity import (
     _variance_under,
@@ -42,7 +43,7 @@ class ExperimentConfig:
     lam: float = 1.0
     seed: int = 0
     f: np.ndarray | None = None  # test table for PlanFunctionalCLT
-    threads: int = 1  # recorded only: replications run in order on one thread
+    threads: int = 1  # affects nothing: replications run in order on one thread
     solve_cfg: SolveConfig = field(default_factory=SolveConfig)
 
     def __post_init__(self):
@@ -57,9 +58,8 @@ class ExperimentConfig:
     def design(self) -> Design:
         """One sample from r without m; two samples, weighted (delta, 1 - delta), with it."""
         if self.m is None:
-            return Design(1.0, 0.0)
-        delta = self.m / (self.n + self.m)
-        return Design(delta, 1.0 - delta)
+            return Design.of(ONE_SAMPLE_R)
+        return Design.of(TWO_SAMPLE, self.m / (self.n + self.m))
 
     @property
     def rate(self) -> float:

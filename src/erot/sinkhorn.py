@@ -735,8 +735,8 @@ def exact_ot_small(r: DiscreteMeasure, s: DiscreteMeasure, m: CostModel) -> OTSo
     beta = 0 at the last positive-mass atom of s, extended to zero-mass
     atoms by c-conjugacy, and whether the potentials are unique on the
     supports.  A plan whose marginals miss a positive weight by more than
-    EXACT_MARGINAL_TOL relative raises MarginalMismatch with that error, the
-    atom and its weight; more than EXACT_MAX_PIVOTS pivots raise
+    EXACT_MARGINAL_TOL relative raises MarginalMismatch with that error
+    (relative_error), the atom and its weight; more than EXACT_MAX_PIVOTS pivots raise
     NonConvergence.  A non-finite cost on the supports raises
     InvalidFamilyParams before any pivot.
     """
@@ -761,7 +761,7 @@ def exact_ot_small(r: DiscreteMeasure, s: DiscreteMeasure, m: CostModel) -> OTSo
         raise MarginalMismatch(
             f"exact transport plan misses the weight {weights[k]:.3e} of {side} atom "
             f"{atom!r} by {rel[k]:.3e} relative (tolerance {EXACT_MARGINAL_TOL:g})",
-            error=float(rel[k]), atom=atom, weight=float(weights[k]))
+            relative_error=float(rel[k]), atom=atom, weight=float(weights[k]))
 
     plan = np.zeros((nx, ny))
     plan[np.ix_(ix, iy)] = plan_sub

@@ -247,6 +247,45 @@ def test_unknown_mode_is_config_parse(instance, capsys, monkeypatch, subcommand,
     assert err == {"error": "ConfigParse", "message": "unknown sampling mode 'bogus'"}
 
 
+@pytest.mark.parametrize("subcommand, extra, cost, message", [
+    ("variance", ["--lambda", "1", "--mode", "one_sample"], None,
+     "unknown sampling mode 'one_sample'"),
+    ("check-conditions", ["--lambda", "1", "--theorem", "value", "--mode", "one_sample"], None,
+     "unknown sampling mode 'one_sample'"),
+    ("solve", ["--lambda", "1"], {"family": "norm_power", "p": 1, "anchor": 0.0},
+     "unknown cost family 'norm_power'"),
+    ("bootstrap", ["--lambda", "1", "--n", "50", "--threads", "2"], None,
+     "unrecognized arguments: --threads 2"),
+    ("mc-clt", ["--config", "mc.json", "--threads", "2"], None,
+     "unrecognized arguments: --threads 2"),
+    ("vanishing-lambda", ["--config", "vl.json", "--threads", "2"], None,
+     "unrecognized arguments: --threads 2"),
+    ("variance", ["--lambda", "1", "--delta", "0.3"], None,
+     "delta is read only by mode 'two_sample', not by 'one_sample_r'"),
+    ("plan-cov", ["--lambda", "1", "--functions", "fns.json", "--mode", "one_sample_s",
+                  "--delta", "0.3"], None,
+     "delta is read only by mode 'two_sample', not by 'one_sample_s'"),
+], ids=["mode-one_sample", "conditions-one_sample", "norm_power", "bootstrap-threads",
+        "mc-clt-threads", "vanishing-lambda-threads", "variance-delta", "plan-cov-delta"])
+def test_retired_spellings_and_unread_values_exit_2(instance, capsys, monkeypatch, subcommand,
+                                                    extra, cost, message):
+    # one spelling per setting: the alias mode, the alias cost family and the
+    # --threads flag are gone, and a delta that no design reads is refused
+    paths, tmp = instance
+    monkeypatch.chdir(tmp)
+    (tmp / "fns.json").write_text(json.dumps([np.eye(3).tolist()]))
+    (tmp / "mc.json").write_text(json.dumps({"n": 50, "replications": 2}))
+    (tmp / "vl.json").write_text(json.dumps({"sample_sizes": [50], "replications": 2}))
+    if cost is not None:
+        (tmp / "cost.json").write_text(json.dumps(cost))
+    code = main([subcommand, *_base(paths, *extra, "--out", str(tmp / "x.json"))])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    error = "InvalidFamilyParams" if cost is not None else "ConfigParse"
+    assert err == {"error": error, "message": message}
+    assert not (tmp / "x.json").exists()
+
+
 def test_variance_and_plan_cov(instance):
     paths, tmp = instance
     out_v = tmp / "var.json"
@@ -301,17 +340,6 @@ class TestStochasticCommands:
         manifest = json.loads((tmp / "b1.manifest.json").read_text())
         assert manifest["seed_used"] is True
         assert manifest["seed"] == 11
-
-    def test_bootstrap_thread_independent(self, instance):
-        paths, tmp = instance
-        csvs = []
-        for threads in ("1", "3"):
-            out = tmp / f"t{threads}.json"
-            main(["bootstrap", *_base(
-                paths, "--lambda", "1", "--n", "100", "--B", "16",
-                "--seed", "5", "--threads", threads, "--out", str(out))])
-            csvs.append(out.with_suffix(".draws.csv").read_bytes())
-        assert csvs[0] == csvs[1]
 
     def test_mc_clt_from_config(self, instance):
         paths, tmp = instance
@@ -524,8 +552,34 @@ def test_ot_exact_pivot_cap_exit_3(tmp_path, capsys, monkeypatch):
     code = main(["ot-exact", *_base(paths, "--out", str(tmp_path / "ot.json"))])
     assert code == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert list(err) == ["error", "message", "iterations", "residual"]
     assert err["error"] == "NonConvergence"
     assert err["iterations"] == 1 and err["residual"] < 0
+
+
+def test_ot_exact_marginal_mismatch_writes_its_fields(tmp_path, capsys, monkeypatch):
+    # every attribute of the exception reaches the exit-2 line, numpy
+    # scalars as Python numbers
+    rng = np.random.default_rng(7)
+    files = [{"labels": list(range(5)), "weights": rng.dirichlet(np.ones(5)).tolist()}
+             for _ in range(2)]
+    cost = {"family": "bounded", "cost": rng.uniform(0, 1, (5, 5)).tolist()}
+    paths = _write_instance(tmp_path, *files, cost)
+    solver = erot.sinkhorn._network_simplex
+
+    def lose_last_row(a, b, c):
+        plan, alpha, beta, value = solver(a, b, c)
+        plan[-1] = 0.0
+        return plan, alpha, beta, value
+
+    monkeypatch.setattr(erot.sinkhorn, "_network_simplex", lose_last_row)
+    code = main(["ot-exact", *_base(paths, "--out", str(tmp_path / "ot.json"))])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert list(err) == ["error", "message", "relative_error", "atom", "weight"]
+    assert err["error"] == "MarginalMismatch"
+    assert err["relative_error"] == pytest.approx(1.0)
+    assert err["atom"] == 4 and err["weight"] == files[0]["weights"][4]
 
 
 def _child_env():
@@ -693,12 +747,31 @@ def test_bootstrap_functions_draws_match_library(instance, capsys):
 
 @pytest.mark.parametrize("tail, message", [
     ("geometric", "'tail' in measure file {path} must be an object with 'kind'"),
-    ({"kind": "geometric"}, "geometric tail in measure file {path} needs 'q'"),
-    ({"kind": "subweibull", "gamma": 1.0}, "subweibull tail in measure file {path} needs 'theta'"),
-    ({"kind": "polynomial", "a": "heavy"}, "bad value for tail 'a' in measure file {path}: heavy"),
-    ({"kind": "geometric", "q": None}, "bad value for tail 'q' in measure file {path}: None"),
-    ({"kind": ["geometric"]}, "unknown tail family ['geometric'] in measure file {path}"),
-], ids=["string", "missing-q", "missing-theta", "non-numeric-a", "null-q", "list-kind"])
+    ({"kind": "geometric"}, "measure file {path}: geometric tail needs 'q' in (0, 1), not None"),
+    ({"kind": "subweibull", "gamma": 1.0},
+     "measure file {path}: subweibull tail needs 'theta' in (0, inf), not None"),
+    ({"kind": "polynomial", "a": "heavy"},
+     "measure file {path}: polynomial tail needs 'a' in (1, inf), not 'heavy'"),
+    ({"kind": "geometric", "q": None},
+     "measure file {path}: geometric tail needs 'q' in (0, 1), not None"),
+    ({"kind": ["geometric"]}, "measure file {path}: unknown tail family ['geometric']"),
+    ({"kind": "geometric", "q": 0},
+     "measure file {path}: geometric tail needs 'q' in (0, 1), not 0"),
+    ({"kind": "geometric", "q": 1.5},
+     "measure file {path}: geometric tail needs 'q' in (0, 1), not 1.5"),
+    ({"kind": "polynomial", "a": 0.5},
+     "measure file {path}: polynomial tail needs 'a' in (1, inf), not 0.5"),
+    ({"kind": "polynomial", "a": math.inf},
+     "measure file {path}: polynomial tail needs 'a' in (1, inf), not inf"),
+    ({"kind": "subweibull", "gamma": -1, "theta": 1},
+     "measure file {path}: subweibull tail needs 'gamma' in (0, inf), not -1"),
+    ({"kind": "geometric", "q": 0.5, "a": 3}, "measure file {path}: geometric tail takes no 'a'"),
+    ({"kind": "finite", "q": 0.5}, "measure file {path}: finite tail takes no 'q'"),
+    ({"kind": "geometric", "q": 0.5, "ratio": 0.5},
+     "unknown tail keys ['ratio'] in measure file {path}"),
+], ids=["string", "missing-q", "missing-theta", "non-numeric-a", "null-q", "list-kind",
+        "q-zero", "q-above-one", "a-below-one", "a-infinite", "gamma-negative",
+        "a-on-geometric", "q-on-finite", "unknown-key"])
 def test_malformed_tail_is_config_parse(instance, capsys, tail, message):
     paths, tmp = instance
     bad = tmp / "r_tail.json"
@@ -808,3 +881,28 @@ def test_readme_usage_lists_exactly_each_subcommands_flags():
     assert set(usage) == set(erot.cli.COMMANDS)
     for sub, flags in usage.items():
         assert flags == {flag for flag, _ in erot.cli._flags(sub)}, sub
+
+
+def test_readme_names_exactly_the_tail_kinds_and_modes():
+    # the measure-file tail schema and the --mode list in the README name
+    # exactly the kinds, parameters and ranges of TAIL_PARAMS and the modes
+    # Design.of accepts
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tails = {}
+    for item in re.findall(r'^- `(\{"kind".*?)(?=^- |^$)', text, re.M | re.S):
+        kind = re.match(r'\{"kind": "(\w+)"', item).group(1)
+        tails[kind] = (re.findall(r'"(\w+)": \.\.\.', item), " ".join(item.split()))
+    assert set(tails) == set(erot.measures.TAIL_PARAMS)
+    for kind, ranges in erot.measures.TAIL_PARAMS.items():
+        keys, line = tails[kind]
+        assert keys == list(ranges), kind
+        for key, (lo, hi) in ranges.items():
+            clause = f"{lo:g} < {key} < {hi:g}" if hi < math.inf else f"finite {key} > {lo:g}"
+            assert clause in line, (kind, key)
+    section = text[text.index("`--mode` names the sampling design"):]
+    modes = re.findall(r"^- `(\w+)`", section[:section.index("\n\n", section.index("- `"))], re.M)
+    assert modes == [erot.ONE_SAMPLE_R, erot.ONE_SAMPLE_S, erot.TWO_SAMPLE]
+    for mode in modes:
+        erot.Design.of(mode, 0.5 if mode == erot.TWO_SAMPLE else None)
+    assert erot.cli.FLAGS["mode"][1] == modes[0]
+

@@ -187,6 +187,16 @@ class TestShiftNonnegative:
         assert np.allclose(a.plan, b.plan, atol=1e-9)
         assert a.value == pytest.approx(b.value + offset, abs=1e-9)
 
+    def test_refuses_an_infinite_lower_bound_before_any_arithmetic(self):
+        # a row of +inf costs has an infinite lower bound cX-, which no
+        # finite shift removes, even on an atom without mass
+        sp = erot.integer_grid(4)
+        table = [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [math.inf] * 4]
+        model, _ = erot.build_cost({"family": "custom", "cost": table}, sp, sp, 1.0)
+        r = erot.validate_measure([0.4, 0.3, 0.3, 0.0], sp)
+        with pytest.raises(InvalidFamilyParams, match="atom '3' of X has the infinite lower"):
+            erot.shift_nonnegative(model, r, r)
+
 
 class TestConditionChecks:
     def test_bounded_geometric_passes(self):
@@ -482,7 +492,7 @@ class TestNonFiniteCosts:
         for spec in (
             {"family": "bounded", "p": 1},
             {"family": "metric_power", "p": 2, "anchor": 0.0},
-            {"family": "norm_power", "p": 1, "anchor": 0.0, "setting": "bounded"},
+            {"family": "metric_power", "p": 1, "anchor": 0.0, "setting": "bounded"},
             {"family": "separability", "anchor": 0.0},
         ):
             with pytest.raises(InvalidFamilyParams):

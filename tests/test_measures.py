@@ -78,11 +78,37 @@ def test_tail_constructors_attach_families():
     sp = erot.integer_grid(10)
     assert erot.geometric_measure(sp, 0.5).tail.kind == "geometric"
     assert erot.polynomial_measure(sp, 2.0).tail.kind == "polynomial"
+    assert isinstance(erot.polynomial_measure(sp, 2).tail.a, float)
     assert erot.subweibull_measure(sp, 1.0, 1.5).tail.kind == "subweibull"
     with pytest.raises(ValueError):
         erot.geometric_measure(sp, 1.5)
     with pytest.raises(ValueError):
         erot.polynomial_measure(sp, 1.0)
+    # the tail is checked before the weights are computed: exp(+i) would overflow
+    with pytest.raises(ValueError, match="'gamma' in \\(0, inf\\), not -1"):
+        erot.subweibull_measure(erot.integer_grid(1000), -1, 1)
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("geometric", {}, "geometric tail needs 'q' in (0, 1), not None"),
+    ("geometric", {"q": 0}, "geometric tail needs 'q' in (0, 1), not 0"),
+    ("geometric", {"q": 1.0}, "geometric tail needs 'q' in (0, 1), not 1.0"),
+    ("geometric", {"q": math.nan}, "geometric tail needs 'q' in (0, 1), not nan"),
+    ("polynomial", {"a": 1}, "polynomial tail needs 'a' in (1, inf), not 1"),
+    ("polynomial", {"a": math.inf}, "polynomial tail needs 'a' in (1, inf), not inf"),
+    ("polynomial", {"a": [3]}, "polynomial tail needs 'a' in (1, inf), not [3]"),
+    ("subweibull", {"gamma": 1.0}, "subweibull tail needs 'theta' in (0, inf), not None"),
+    ("subweibull", {"gamma": 1.0, "theta": 0.0},
+     "subweibull tail needs 'theta' in (0, inf), not 0.0"),
+    ("geometric", {"q": 0.5, "theta": 1.0}, "geometric tail takes no 'theta'"),
+    ("finite", {"a": 2.0}, "finite tail takes no 'a'"),
+    ("cauchy", {}, "unknown tail family 'cauchy'"),
+])
+def test_tail_family_checks_its_parameters(kind, params, message):
+    with pytest.raises(ValueError) as info:
+        erot.TailFamily(kind, **params)
+    assert str(info.value) == message
+
 
 
 def test_geometric_measure_shape():

@@ -9,6 +9,7 @@ from erot.errors import ConfigParse, EmptyInput, NonUniquePotentials
 from erot.resampling import (
     DIVERGENCE_CLT,
     PLAN_FUNCTIONAL_CLT,
+    SINKHORN_COST_CLT,
     VALUE_CLT,
     ExperimentConfig,
     _normal_or_degenerate_cdf,
@@ -148,6 +149,22 @@ class TestMCExperiment:
                                f=np.eye(3))
         with pytest.raises(ConfigParse, match=r"f of shape \(4, 4\)"):
             mc_clt_experiment(r, s, m, cfg)
+
+    @pytest.mark.parametrize("m_size", [None, 150], ids=["one-sample", "two-sample"])
+    def test_plan_functional_of_the_cost_is_the_sinkhorn_cost(self, m_size):
+        # <c, plan> is the Sinkhorn cost, so the PlanFunctionalCLT branch with
+        # f = c must reproduce the SinkhornCostCLT target and draws
+        sp = erot.integer_grid(6)
+        r = erot.validate_measure([0.28, 0.22, 0.17, 0.13, 0.11, 0.09], sp)
+        s = erot.validate_measure([0.08, 0.12, 0.14, 0.18, 0.21, 0.27], sp)
+        m, _ = erot.build_cost({"family": "bounded", "p": 1}, sp, sp, 1.0)
+        base = dict(n=200, m=m_size, replications=20, seed=5)
+        cost = mc_clt_experiment(r, s, m, ExperimentConfig(statistic=SINKHORN_COST_CLT, **base))
+        plan = mc_clt_experiment(r, s, m, ExperimentConfig(statistic=PLAN_FUNCTIONAL_CLT,
+                                                           f=m.cost, **base))
+        assert cost.target_sigma2 > 0
+        assert plan.target_sigma2 == pytest.approx(cost.target_sigma2, rel=1e-12)
+        assert np.allclose(plan.standardized_draws, cost.standardized_draws, rtol=0, atol=1e-9)
 
     def test_divergence_clt_reads_no_population_solve(self, monkeypatch):
         # the divergence and its variance solve inside sensitivity/sinkhorn

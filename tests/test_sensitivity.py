@@ -345,19 +345,36 @@ class TestSampling:
 
 
 class TestDesign:
-    def test_one_sample_is_one_sample_r(self):
+    def test_one_sample_spelling_is_refused(self):
+        # "one_sample_r" is the one spelling of that design
         r, s, m, sol = _instance(18)
         ops = build_operators(sol, r, s, m)
         tables = [m.cost, np.arange(25.0).reshape(5, 5)]
         _, profile = erot.build_cost({"family": "custom", "cost": m.cost}, r.space, s.space, 1.0)
-        assert value_variance(sol, r, s, "one_sample") == value_variance(sol, r, s, ONE_SAMPLE_R)
-        assert np.array_equal(functional_covariance(ops, r, s, tables, "one_sample"),
-                              functional_covariance(ops, r, s, tables, ONE_SAMPLE_R))
-        assert (erot.check_value_conditions(r, s, profile, "one_sample").to_dict()
+        for call in (lambda: value_variance(sol, r, s, "one_sample"),
+                     lambda: functional_covariance(ops, r, s, tables, "one_sample"),
+                     lambda: erot.check_value_conditions(r, s, profile, "one_sample"),
+                     lambda: erot.Design.of("one_sample")):
+            with pytest.raises(ConfigParse, match="unknown sampling mode 'one_sample'"):
+                call()
+        assert not hasattr(erot.measures, "ONE_SAMPLE")
+        assert (erot.check_value_conditions(r, s, profile).to_dict()
                 == erot.check_value_conditions(r, s, profile, ONE_SAMPLE_R).to_dict())
 
+    def test_delta_outside_two_sample_is_refused(self):
+        r, s, m, sol = _instance(18)
+        for mode in (ONE_SAMPLE_R, ONE_SAMPLE_S, erot.Design(1.0, 0.0)):
+            with pytest.raises(ConfigParse, match="delta is read only by mode 'two_sample'"):
+                erot.Design.of(mode, 0.3)
+            with pytest.raises(ConfigParse, match="delta is read only by mode 'two_sample'"):
+                value_variance(sol, r, s, mode, 0.3)
+        # the conditions ask only which sides are sampled, so two_sample needs no delta
+        _, profile = erot.build_cost({"family": "custom", "cost": m.cost}, r.space, s.space, 1.0)
+        assert (erot.check_value_conditions(r, s, profile, TWO_SAMPLE).to_dict()
+                == erot.check_value_conditions(r, s, profile, erot.Design(0.5, 0.5)).to_dict())
+
     def test_weights_of_each_spelling(self):
-        assert erot.Design.of("one_sample") == erot.Design(1.0, 0.0)
+        assert erot.Design.of(ONE_SAMPLE_R) == erot.Design(1.0, 0.0)
         assert erot.Design.of(ONE_SAMPLE_S) == erot.Design(0.0, 1.0)
         assert erot.Design.of(TWO_SAMPLE, 0.25) == erot.Design(0.25, 0.75)
 

@@ -675,7 +675,7 @@ class TestExactOT:
         with pytest.raises(MarginalMismatch) as info:
             erot.exact_ot_small(r, s, m)
         exc = info.value
-        assert exc.error == pytest.approx(1.0)
+        assert exc.relative_error == pytest.approx(1.0)
         assert exc.atom == r.space.labels[3] and exc.weight == r.weights[3]
         assert f"r atom {exc.atom!r}" in str(exc) and "tolerance 1e-09" in str(exc)
 

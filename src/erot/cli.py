@@ -14,11 +14,11 @@ mc-clt and vanishing-lambda read an experiment file (--config): a JSON object
 whose keys are those of ``MC_CLT_KEYS`` or ``VANISHING_LAMBDA_KEYS``.  A key
 left out takes the library's default (``ExperimentConfig``,
 ``vanishing_lambda_experiment``), ``lambda`` and ``seed`` win over the flags,
-and an unknown key exits 2.
+and an unknown key exits 2, as it does in a measure or cost file (io.read_object).
 
 Exit codes: 0 success, 2 validation/configuration error (an unknown flag, a
 flag the subcommand does not take and a malformed value, in a flag or an
-experiment file, included), 3 solver non-convergence; the last stderr line is
+input file, included), 3 solver non-convergence; the last stderr line is
 then a JSON object with "error", "message" and the exception's attributes
 (``_error_payload``).  The manifest next to each output records the resolved
 value of every flag the subcommand takes, a SHA-256 digest of every input file
@@ -116,30 +116,9 @@ def _attr(flag: str) -> str:
     return "lam" if flag == "lambda" else flag.replace("-", "_")
 
 
-def _parse(cast, raw, source: str):
-    """cast(raw); a value it rejects is a ConfigParse naming its source."""
-    try:
-        return cast(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigParse(f"bad value for {source}: {raw}") from exc
-
-
 def _floats(text: str) -> list:
     """A comma-separated list flag such as --ts."""
     return [float(v) for v in text.split(",")]
-
-
-def _experiment(path, keys: dict) -> dict:
-    """The entries of an experiment file (--config), each cast by its key in
-    `keys`; a key not in `keys` is a ConfigParse."""
-    raw = io.load_json(path)
-    if not isinstance(raw, dict):
-        raise ConfigParse(f"experiment file {path} must hold a JSON object")
-    unknown = [key for key in raw if key not in keys]
-    if unknown:
-        raise ConfigParse(f"unknown keys {unknown} in experiment file {path}; "
-                          f"it takes {', '.join(keys)}")
-    return {key: _parse(keys[key], value, f"{key!r} in {path}") for key, value in raw.items()}
 
 
 def _load_instance(a, lam: float):
@@ -244,7 +223,7 @@ def _cmd_plan_cov(a):
 
 
 def _cmd_derivative_check(a):
-    ts = _parse(_floats, a.ts, "--ts")
+    ts = io.cast_value(_floats, a.ts, "--ts")
     r, s, model, cfg, sol = _solved(a)
     ops = build_operators(sol, r, s, model)
     rng = np.random.default_rng(a.seed)
@@ -314,7 +293,7 @@ def _cmd_bootstrap(a):
 
 
 def _cmd_mc_clt(a):
-    entries = _experiment(a.config, MC_CLT_KEYS)
+    entries = io.read_object(io.load_json(a.config), MC_CLT_KEYS, a.config, "experiment file")
     # the manifest records the lambda and seed used
     a.lam = entries.pop("lambda", a.lam)
     a.seed = entries.pop("seed", a.seed)
@@ -332,7 +311,8 @@ def _cmd_mc_clt(a):
 
 
 def _cmd_vanishing_lambda(a):
-    entries = _experiment(a.config, VANISHING_LAMBDA_KEYS)
+    entries = io.read_object(io.load_json(a.config), VANISHING_LAMBDA_KEYS, a.config,
+                             "experiment file")
     a.seed = entries.pop("seed", a.seed)
     r, s, model, _ = _load_instance(a, 1.0)
     report = vanishing_lambda_experiment(r, s, model, **entries, seed=a.seed)
@@ -345,7 +325,7 @@ def _cmd_ot_exact(a):
     r, s, model, _ = _load_instance(a, 1.0)
     gaps = None
     if a.lambdas:
-        gaps = vanishing_reg_gap(r, s, model, _parse(_floats, a.lambdas, "--lambdas"))
+        gaps = vanishing_reg_gap(r, s, model, io.cast_value(_floats, a.lambdas, "--lambdas"))
     # the gap report carries the exact transport it was measured from
     ot = exact_ot_small(r, s, model) if gaps is None else gaps.ot
     payload = {
@@ -433,7 +413,7 @@ def _settings(args) -> argparse.Namespace:
                 raise ConfigParse(f"missing required option --{flag}")
             value = out if flag == "out" else default
         else:
-            value = _parse(cast, raw, source)
+            value = io.cast_value(cast, raw, source)
         setattr(a, _attr(flag), value)
     return a
 

@@ -1,10 +1,10 @@
 """File schemas and serialization helpers for the command-line interface.
 
-Measures are JSON objects {"labels": [...], "weights": [...]} with optional
-"coords" (per-atom coordinate or coordinate list) and "tail" ({"kind":
-"geometric", "q": 0.7} etc.).  Cost files hold a family spec as consumed by
-costs.build_cost.  Output JSON is indented by two spaces; floats are written
-as Python's shortest round-trip repr, so every value round-trips exactly.
+Every JSON input object (measure, tail, cost and experiment file) is read by
+read_object against a declared key set: MEASURE_KEYS, TAIL_KEYS, a family's
+keys in costs.COST_FAMILIES, or the CLI's experiment keys.  Output JSON is
+indented by two spaces; floats are written as Python's shortest round-trip
+repr, so every value round-trips exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .costs import build_cost
+from .costs import build_cost, cost_family
 from .errors import ConfigParse
 from .measures import (
     FINITE_TAIL,
@@ -87,41 +87,67 @@ def sha256_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _parse_tail(spec, path) -> TailFamily:
-    """The measure file's "tail" object as a TailFamily; a refusal names the file."""
-    if spec is None:
-        return FINITE_TAIL
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigParse(f"'tail' in measure file {path} must be an object with 'kind'")
-    unknown = [key for key in spec if key not in TailFamily.__dataclass_fields__]
-    if unknown:
-        raise ConfigParse(f"unknown tail keys {unknown} in measure file {path}")
+def cast_value(cast, raw, source: str):
+    """cast(raw), or raw itself if cast is None; a value the cast rejects is a
+    ConfigParse naming its source."""
     try:
-        return TailFamily(**spec)
-    except ValueError as exc:
-        raise ConfigParse(f"measure file {path}: {exc}") from exc
+        return raw if cast is None else cast(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigParse(f"bad value for {source}: {raw}") from exc
+
+
+def read_object(raw, keys: dict, path, what: str) -> dict:
+    """The entries of a JSON object read from `path` (`what` names it in
+    messages), each cast by its key in `keys`; a key marked "!" must be
+    present.  A non-object, an unknown key, a missing key and a value its
+    cast rejects are each a ConfigParse naming the file and the key."""
+    where = f"{what} {path}"
+    if not isinstance(raw, dict):
+        raise ConfigParse(f"{where} must hold a JSON object")
+    casts = {key.rstrip("!"): cast for key, cast in keys.items()}
+    unknown = [key for key in raw if key not in casts]
+    if unknown:
+        raise ConfigParse(f"unknown keys {unknown} in {where}; it takes {', '.join(casts)}")
+    missing = [key[:-1] for key in keys if key.endswith("!") and key[:-1] not in raw]
+    if missing:
+        raise ConfigParse(f"{where} needs {' and '.join(map(repr, missing))}")
+    return {key: cast_value(casts[key], value, f"{key!r} in {path}") for key, value in raw.items()}
+
+
+# measure-file key: cast ("!" marks a required key, None a value taken as
+# given); IndexedSpace checks coords and TailFamily the tail's values, and
+# load_measure names the file in their refusals
+MEASURE_KEYS = {"labels!": tuple, "weights!": lambda v: np.asarray(v, dtype=float),
+                "coords": None, "tail": None}
+# the tail object's keys are TailFamily's fields
+TAIL_KEYS = {"kind!": None, "q": None, "a": None, "gamma": None, "theta": None}
 
 
 def load_measure(path) -> DiscreteMeasure:
-    raw = load_json(path)
-    try:
-        labels = tuple(raw["labels"])
-        weights = np.asarray(raw["weights"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigParse(f"measure file {path} needs 'labels' and 'weights'") from exc
-    coords = raw.get("coords")
+    entries = read_object(load_json(path), MEASURE_KEYS, path, "measure file")
+    labels = entries["labels"]
+    coords = entries.get("coords")
+    tail = entries.get("tail")
+    if tail is not None:
+        tail = read_object(tail, TAIL_KEYS, path, "'tail' in measure file")
     # numeric labels double as coordinates; IndexedSpace shapes them (n, 1)
     if coords is None and all(isinstance(l, (int, float)) for l in labels):
         coords = labels
-    space = IndexedSpace(labels=labels, coords=coords)
-    return validate_measure(weights, space, tail=_parse_tail(raw.get("tail"), path))
+    try:
+        space = IndexedSpace(labels=labels, coords=coords)
+        tail = FINITE_TAIL if tail is None else TailFamily(**tail)
+    except (TypeError, ValueError) as exc:
+        raise ConfigParse(f"measure file {path}: {exc}") from exc
+    return validate_measure(entries["weights"], space, tail=tail)
 
 
 def load_cost(path, space_X: IndexedSpace, space_Y: IndexedSpace, lam: float):
-    spec = load_json(path)
-    if not isinstance(spec, dict) or "family" not in spec:
+    """A cost file's family spec, its keys those of COST_FAMILIES, built at lam."""
+    raw = load_json(path)
+    if not isinstance(raw, dict) or "family" not in raw:
         raise ConfigParse(f"cost file {path} must hold a family spec with 'family'")
-    return build_cost(spec, space_X, space_Y, lam)
+    keys = {"family": None, **cost_family(raw["family"])[1]}
+    return build_cost(read_object(raw, keys, path, "cost file"), space_X, space_Y, lam)
 
 
 def load_function_tables(path, shape) -> list:

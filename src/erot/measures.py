@@ -56,7 +56,7 @@ class IndexedSpace:
             c = np.asarray(self.coords, dtype=float)
             if c.ndim == 1:
                 c = c[:, None]
-            if c.shape[0] != len(self.labels):
+            if c.ndim != 2 or c.shape[0] != len(self.labels):
                 raise ValueError("one coordinate row per atom required")
             object.__setattr__(self, "coords", c)
 
@@ -105,7 +105,8 @@ class TailFamily:
                 raise ValueError(f"{self.kind} tail takes no '{key}'")
         for key, (lo, hi) in ranges.items():
             value = getattr(self, key)
-            if not (isinstance(value, numbers.Real) and lo < value < hi):
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and lo < value < hi):
                 raise ValueError(f"{self.kind} tail needs '{key}' in ({lo:g}, {hi:g}), "
                                  f"not {value!r}")
             object.__setattr__(self, key, float(value))
@@ -166,7 +167,7 @@ class Design:
         reads delta, which must lie in (0, 1), and any other mode refuses one."""
         if mode == TWO_SAMPLE:
             if not (delta is not None and 0.0 < delta < 1.0):
-                raise ValueError("two-sample mode needs delta in (0, 1)")
+                raise ConfigParse("two-sample mode needs delta in (0, 1)")
             return cls(delta, 1.0 - delta)
         if not (isinstance(mode, Design) or mode in (ONE_SAMPLE_R, ONE_SAMPLE_S)):
             raise ConfigParse(f"unknown sampling mode {mode!r}")

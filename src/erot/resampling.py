@@ -148,7 +148,7 @@ def bootstrap_plan_functional(sample, s: DiscreteMeasure, m: CostModel, lam: flo
 
 def _bootstrap(sample, s, m, lam, B, seed, cfg, f):
     if B < 1:
-        raise ValueError("B must be >= 1")
+        raise ConfigParse("B must be >= 1")
     sample = np.asarray(sample, dtype=int)
     r_hat = empirical_measure(sample, m.space_X)
     base = solve(r_hat, s, m, lam, cfg)

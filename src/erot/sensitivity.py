@@ -358,28 +358,23 @@ def sample_multinomial_gaussian(r: DiscreteMeasure, n_draws: int,
     return zs - np.outer(zs.sum(axis=1), w)
 
 
-def sample_limit(ops: DerivativeOperators, statistic: str, n_draws: int, seed,
+def sample_limit(ops: DerivativeOperators, n_draws: int, seed,
                  mode: str | Design = ONE_SAMPLE_R, delta: float | None = None,
                  f: np.ndarray | None = None) -> np.ndarray:
-    """Reference draws of the Gaussian limit of a plug-in statistic.
-
-    statistic: "value" for the EROT value, "plan_functional" for <f, pi>
-    (requires f).  Each sampled side contributes sqrt(w) times its Gaussian,
-    r first.  Deterministic under a fixed seed.
+    """Reference draws of the Gaussian limit of a plug-in statistic: the EROT
+    value without f, the plan functional <f, pi> with a test table f.  Each
+    sampled side contributes sqrt(w) times its Gaussian, r first.
+    Deterministic under a fixed seed.
     """
     design = Design.of(mode, delta)
     if n_draws == 0:
         return np.empty(0)
-    if statistic == "value":
+    if f is None:
         # each Gaussian sums to 0, so the potentials' gauge does not matter
         gX, gY = ops.base.alpha, ops.base.beta
-    elif statistic == "plan_functional":
-        if f is None:
-            raise ValueError("plan_functional draws need a test table f")
+    else:
         JX, JY = _functional_jacobians(ops, [f])
         gX, gY = JX[0], JY[0]
-    else:
-        raise ValueError(f"unknown statistic {statistic!r}")
     rng = np.random.default_rng(seed)
     draws = np.zeros(n_draws)
     for w, measure, g in ((design.w_r, ops.r, gX), (design.w_s, ops.s, gY)):

@@ -746,7 +746,8 @@ def test_bootstrap_functions_draws_match_library(instance, capsys):
 
 
 @pytest.mark.parametrize("tail, message", [
-    ("geometric", "'tail' in measure file {path} must be an object with 'kind'"),
+    ("geometric", "'tail' in measure file {path} must hold a JSON object"),
+    ({"q": 0.5}, "'tail' in measure file {path} needs 'kind'"),
     ({"kind": "geometric"}, "measure file {path}: geometric tail needs 'q' in (0, 1), not None"),
     ({"kind": "subweibull", "gamma": 1.0},
      "measure file {path}: subweibull tail needs 'theta' in (0, inf), not None"),
@@ -768,10 +769,13 @@ def test_bootstrap_functions_draws_match_library(instance, capsys):
     ({"kind": "geometric", "q": 0.5, "a": 3}, "measure file {path}: geometric tail takes no 'a'"),
     ({"kind": "finite", "q": 0.5}, "measure file {path}: finite tail takes no 'q'"),
     ({"kind": "geometric", "q": 0.5, "ratio": 0.5},
-     "unknown tail keys ['ratio'] in measure file {path}"),
-], ids=["string", "missing-q", "missing-theta", "non-numeric-a", "null-q", "list-kind",
+     "unknown keys ['ratio'] in 'tail' in measure file {path}; "
+     "it takes kind, q, a, gamma, theta"),
+    ({"kind": "subweibull", "gamma": True, "theta": 1},
+     "measure file {path}: subweibull tail needs 'gamma' in (0, inf), not True"),
+], ids=["string", "missing-kind", "missing-q", "missing-theta", "non-numeric-a", "null-q", "list-kind",
         "q-zero", "q-above-one", "a-below-one", "a-infinite", "gamma-negative",
-        "a-on-geometric", "q-on-finite", "unknown-key"])
+        "a-on-geometric", "q-on-finite", "unknown-key", "boolean-gamma"])
 def test_malformed_tail_is_config_parse(instance, capsys, tail, message):
     paths, tmp = instance
     bad = tmp / "r_tail.json"
@@ -782,6 +786,97 @@ def test_malformed_tail_is_config_parse(instance, capsys, tail, message):
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err == {"error": "ConfigParse", "message": message.format(path=bad)}
+
+
+# an 8-atom instance on [0, 0.7]: the plan theorem's conditions fail with a
+# polynomial(1.5) tail and the unbounded metric-power cost, and pass once the
+# misspelled "tial" and "settings" leave a finite tail and the semi_bounded default
+_COORDS_8 = [i / 10 for i in range(8)]
+_WEIGHTS_8 = (np.arange(1, 9.0) ** -1.5 / (np.arange(1, 9.0) ** -1.5).sum()).tolist()
+_TABLE_3 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+_DOM_3 = {"cX_minus": [0] * 3, "cX_plus": [1] * 3, "cY_minus": [0] * 3, "cY_plus": [1] * 3}
+
+
+@pytest.mark.parametrize("cost, tail_key, key", [
+    ({"family": "custom"}, "tail", "'cost'"),
+    ({"family": "custom", "cost": _TABLE_3, "dom": [[0] * 3] * 4}, "tail", "'dom'"),
+    ({"family": "custom", "cost": _TABLE_3,
+      "dom": {k: v for k, v in _DOM_3.items() if k != "cX_plus"}}, "tail", "'dom'"),
+    ({"family": "metric_power", "p": "2", "anchor": 0.0}, "tail", "'p'"),
+    ({"family": "metric_power", "p": True, "anchor": 0.0}, "tail", "'p'"),
+    ({"family": "separability", "anchor": 0.0, "kappa_max": "1"}, "tail", "'kappa_max'"),
+    ({"family": "metric_power", "p": 2, "anchor": 0.0, "settings": "unbounded"}, "tail",
+     "'settings'"),
+    ({"family": "bounded", "p": 1, "norm_odr": 1}, "tail", "'norm_odr'"),
+    ({"family": "bounded", "kind": "discrete", "p": 1}, "tail", "'kind'"),
+    ({"family": "bounded", "p": 1}, "tial", "'tial'"),
+    ({"family": "metric_power", "p": 2, "anchor": 0.0, "settings": "unbounded"}, "tial",
+     "'tial'"),
+], ids=["custom-without-cost", "dom-list", "dom-without-cX_plus", "p-string", "p-boolean",
+        "kappa_max-string", "settings", "norm_odr", "kind-discrete", "tial", "settings-and-tial"])
+def test_malformed_cost_and_measure_keys_exit_2(tmp_path, capsys, cost, tail_key, key):
+    # a misspelled or mistyped key exits 2 naming its file, where it used to
+    # exit 1 or be ignored; the settings + tial pair used to write "Pass"
+    r = {"labels": list(range(8)), "weights": _WEIGHTS_8, "coords": _COORDS_8,
+         tail_key: {"kind": "polynomial", "a": 1.5}}
+    if cost["family"] == "custom":
+        r = {"labels": ["a0", "a1", "a2"], "weights": [0.2, 0.3, 0.5]}
+    paths = _write_instance(tmp_path, r, r, cost)
+    bad = paths["r"] if tail_key == "tial" else paths["cost"]
+    code = main(["check-conditions", *_base(paths, "--lambda", "1", "--theorem", "plan",
+                                            "--out", str(tmp_path / "x.json"))])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigParse"
+    assert bad in err["message"] and key in err["message"], err["message"]
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["variance", "--mode", "two_sample"], "two-sample mode needs delta in (0, 1)"),
+    (["bootstrap", "--n", "50", "--B", "0"], "B must be >= 1"),
+], ids=["two_sample-without-delta", "bootstrap-B-zero"])
+def test_refused_design_and_replications_are_config_parse(instance, capsys, argv, message):
+    paths, tmp = instance
+    code = main([*argv, *_base(paths, "--lambda", "1", "--out", str(tmp / "x.json"))])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "ConfigParse", "message": message}
+
+
+@pytest.mark.parametrize("measure, message", [
+    ({"labels": ["a", "a", "b"], "weights": [0.2, 0.3, 0.5]},
+     "measure file {path}: atom labels must be unique"),
+    ({"labels": ["a0", "a1", "a2"], "weights": [0.2, 0.3, 0.5], "coords": [0.0, 1.0]},
+     "measure file {path}: one coordinate row per atom required"),
+    ({"labels": ["a0", "a1", "a2"], "weights": [0.2, 0.3, 0.5], "coords": 1.0},
+     "measure file {path}: one coordinate row per atom required"),
+    ({"labels": ["a0", "a1", "a2"]}, "measure file {path} needs 'weights'"),
+    ({"weights": [0.2, 0.3, 0.5]}, "measure file {path} needs 'labels'"),
+], ids=["duplicate-labels", "coords-rows", "coords-scalar", "no-weights", "no-labels"])
+def test_malformed_measure_space_is_config_parse_naming_the_file(instance, capsys, measure,
+                                                                  message):
+    paths, tmp = instance
+    bad = tmp / "r_bad.json"
+    bad.write_text(json.dumps(measure))
+    code = main(["solve", *_base({**paths, "r": str(bad)}, "--lambda", "1",
+                                 "--out", str(tmp / "x.json"))])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "ConfigParse", "message": message.format(path=bad)}
+
+
+def test_cost_and_tail_keys_reach_library_parameters():
+    # each family's keys are its builder's keyword parameters, "!" marking
+    # exactly those without a default; the tail keys are TailFamily's fields
+    for family, (builder, keys) in erot.costs.COST_FAMILIES.items():
+        params = {name: p for name, p in inspect.signature(builder).parameters.items()
+                  if p.kind is p.KEYWORD_ONLY}
+        assert [key.rstrip("!") for key in keys] == list(params), family
+        required = [name for name, p in params.items() if p.default is p.empty]
+        assert [key[:-1] for key in keys if key.endswith("!")] == required, family
+    fields = [f.name for f in dataclasses.fields(erot.TailFamily)]
+    assert [key.rstrip("!") for key in erot.io.TAIL_KEYS] == fields
 
 
 def _all_subcommands(paths, tmp):
@@ -906,3 +1001,18 @@ def test_readme_names_exactly_the_tail_kinds_and_modes():
         erot.Design.of(mode, 0.5 if mode == erot.TWO_SAMPLE else None)
     assert erot.cli.FLAGS["mode"][1] == modes[0]
 
+
+
+def test_readme_names_exactly_each_cost_familys_keys():
+    # the cost-file schema lists each family of COST_FAMILIES with its keys in
+    # table order, and says "required" exactly where a key has no default
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text[text.index("Each family takes `family` and its own keys"):]
+    section = section[:section.index("\n\n", section.index("\n- `"))]
+    items = re.findall(r"^- `(\w+)` takes (.*?): (.*?)(?=^- |\Z)", section, re.M | re.S)
+    assert [family for family, _, _ in items] == list(erot.costs.COST_FAMILIES)
+    for family, keys, body in items:
+        table = erot.costs.COST_FAMILIES[family][1]
+        assert re.findall(r"`(\w+)`", keys) == [key.rstrip("!") for key in table], family
+        required = [key[:-1] for key in table if key.endswith("!")]
+        assert re.findall(r"required \w+ `(\w+)`", body) == required, family

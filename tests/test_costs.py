@@ -306,6 +306,21 @@ class TestConditionChecks:
         s_slow = erot.subweibull_measure(spy, gamma=1.0, theta=0.5)
         assert erot.check_plan_conditions(r, s_slow, prof).verdict == "Fail"
 
+    def test_overflowing_e_Y_power_diverges_without_a_warning(self):
+        # e_Y reaches about 1.3e85 on 8 atoms, so e_Y^4 overflows to inf; the
+        # suite turns the RuntimeWarning that overflow used to raise into an error
+        sp = erot.integer_grid(8)
+        _, prof = erot.build_cost(
+            {"family": "metric_power", "p": 2, "anchor": 0.0, "setting": "semi_bounded"},
+            sp, sp, 1.0,
+        )
+        r = erot.polynomial_measure(sp, 3.0)
+        s = erot.subweibull_measure(sp, gamma=0.5, theta=0.8)
+        report = erot.check_plan_conditions(r, s, prof)
+        assert report.verdict == "Fail"
+        (gate,) = [c for c in report.checked_sums if c.description == "sum C_Y e_Y^4 s"]
+        assert gate.partial_sum == math.inf and gate.verdict == "diverges"
+
     def test_plan_pass_implies_value_pass_when_single_collection(self):
         sp = erot.integer_grid(25)
         geo = erot.geometric_measure(sp, 0.3)

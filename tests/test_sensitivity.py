@@ -318,28 +318,24 @@ class TestSampling:
         r, s, m, sol = _instance(15)
         ops = build_operators(sol, r, s, m)
         target = value_variance(sol, r, s, ONE_SAMPLE_R)
-        draws = sample_limit(ops, "value", 100_000, seed=7)
+        draws = sample_limit(ops, 100_000, seed=7)
         assert np.var(draws) == pytest.approx(target, rel=0.05)
-        again = sample_limit(ops, "value", 100_000, seed=7)
+        again = sample_limit(ops, 100_000, seed=7)
         assert np.array_equal(draws, again)
-        assert sample_limit(ops, "value", 0, seed=7).shape == (0,)
+        assert sample_limit(ops, 0, seed=7).shape == (0,)
 
     def test_sample_limit_plan_functional(self):
         r, s, m, sol = _instance(16)
         ops = build_operators(sol, r, s, m)
         target = sinkhorn_cost_variance(ops, r, s, m)
-        draws = sample_limit(ops, "plan_functional", 100_000, seed=3, f=m.cost)
+        draws = sample_limit(ops, 100_000, seed=3, f=m.cost)
         assert np.var(draws) == pytest.approx(target, rel=0.05)
-        with pytest.raises(ValueError):
-            sample_limit(ops, "plan_functional", 10, seed=3)
-        with pytest.raises(ValueError):
-            sample_limit(ops, "median", 10, seed=3)
 
     @pytest.mark.parametrize("mode, delta", [(ONE_SAMPLE_S, None), (TWO_SAMPLE, 0.35)])
     def test_sample_limit_variance_in_other_designs(self, mode, delta):
         r, s, m, sol = _instance(17)
         ops = build_operators(sol, r, s, m)
-        draws = sample_limit(ops, "value", 100_000, seed=11, mode=mode, delta=delta)
+        draws = sample_limit(ops, 100_000, seed=11, mode=mode, delta=delta)
         target = value_variance(sol, r, s, mode, delta)
         assert np.var(draws) == pytest.approx(target, rel=0.05)
 

@@ -10,7 +10,6 @@ from .measures import (
     IndexedSpace,
     SignedVector,
     TailFamily,
-    WeightFunction,
     empirical_measure,
     entropy_pair,
     geometric_measure,

@@ -5,7 +5,7 @@ Every cost model carries four dominating vectors (cX-, cX+, cY-, cY+) with
 cX-(x) + cY-(y) <= c(x,y) <= cX+(x) + cY+(y) pointwise, optionally a second
 such collection, and growth descriptors used by the analytic convergence
 checks.  Weight profiles are the induced C = 1 + |c+| + |c-| and
-e = exp((c+ - c-)/lambda) vectors together with k(delta) = C * e**delta.
+e = exp((c+ - c-)/lambda) vectors, in a table keyed by weight name.
 
 Analytic verdicts model a weight as  index**degree * exp(gamma * index**theta)
 along the enumeration order; this matches the shipped families on integer
@@ -32,7 +32,6 @@ from .measures import (
     DiscreteMeasure,
     IndexedSpace,
     TailFamily,
-    WeightFunction,
 )
 
 SANDWICH_TOL = 1e-9
@@ -75,8 +74,10 @@ _WEIGHT_NAMES = ("C_X", "C_Y", "e_X", "e_Y", "Ct_X", "Ct_Y", "et_X", "et_Y")
 
 
 def _growth(**shapes: Growth) -> dict:
-    """Growth descriptors keyed by weight name; unnamed weights are constant."""
-    return {k: shapes.get(k, CONST_GROWTH) for k in _WEIGHT_NAMES}
+    """Growth descriptors keyed by weight name: an unnamed primary weight is
+    constant, an unnamed secondary one (Ct_*, et_*) takes its primary's."""
+    g = {k: shapes.get(k, CONST_GROWTH) for k in _WEIGHT_NAMES[:4]}
+    return g | {k: shapes.get(k, g[k.replace("t", "", 1)]) for k in _WEIGHT_NAMES[4:]}
 
 
 @dataclass(frozen=True)
@@ -160,56 +161,35 @@ class CostModel:
 
 @dataclass(frozen=True)
 class WeightProfile:
-    """C/e/k weight functions from one (or two) dominating collections, with
-    the model's growth descriptors and X-variation flag the checks read."""
+    """The C and e weights keyed by weight name ("C_X", "et_Y", ...; a t marks
+    the secondary collection, the primary when a family has none), the growth
+    descriptors keyed the same way, and the X-variation flag the checks read."""
 
-    C_X: WeightFunction
-    C_Y: WeightFunction
-    e_X: WeightFunction
-    e_Y: WeightFunction
+    values: dict
     growth: dict
     bounded_x_variation: bool
-    # secondary (tilde) collection weights; equal the primary when the family
-    # doesn't distinguish them
-    Ct_X: WeightFunction | None = None
-    Ct_Y: WeightFunction | None = None
-    et_X: WeightFunction | None = None
-    et_Y: WeightFunction | None = None
 
-    def k_X(self, delta: float) -> WeightFunction:
-        return WeightFunction(self.C_X.space, self.C_X.values * self.e_X.values**delta)
+
+def _side_weights(lo: np.ndarray, hi: np.ndarray, lam: float):
+    """(C, e) of one side of a dominating collection.  e may saturate to inf;
+    the verdicts read the growth descriptors, not these values, and an
+    infinite bound (+inf - +inf included) is an infinite variation, e = inf."""
+    C = 1.0 + np.abs(hi) + np.abs(lo)
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    with np.errstate(over="ignore"):
+        e = np.exp(np.subtract(hi, lo, out=np.full(hi.shape, np.inf), where=finite) / lam)
+    return C, e
 
 
 def _profile_from(model: CostModel, lam: float) -> WeightProfile:
-    def weights(space, lo, hi):
-        C = 1.0 + np.abs(hi) + np.abs(lo)
-        # e may saturate to inf for strongly growing costs; the analytic
-        # convergence verdicts rely on the growth descriptors, not on these
-        # values, and an infinite partial sum is the honest numeric answer;
-        # an infinite bound (+inf - +inf included) is an infinite variation
-        finite = np.isfinite(lo) & np.isfinite(hi)
-        with np.errstate(over="ignore"):
-            e = np.exp(np.subtract(hi, lo, out=np.full(hi.shape, np.inf), where=finite) / lam)
-        return WeightFunction(space, C), WeightFunction(space, e)
-
     p = model.dom_primary
-    C_X, e_X = weights(model.space_X, p.cX_minus, p.cX_plus)
-    C_Y, e_Y = weights(model.space_Y, p.cY_minus, p.cY_plus)
-    sec = model.dom_secondary or p
-    Ct_X, et_X = weights(model.space_X, sec.cX_minus, sec.cX_plus)
-    Ct_Y, et_Y = weights(model.space_Y, sec.cY_minus, sec.cY_plus)
-    return WeightProfile(
-        C_X=C_X,
-        C_Y=C_Y,
-        e_X=e_X,
-        e_Y=e_Y,
-        growth=model.growth,
-        bounded_x_variation=model.bounded_x_variation,
-        Ct_X=Ct_X,
-        Ct_Y=Ct_Y,
-        et_X=et_X,
-        et_Y=et_Y,
-    )
+    t = model.dom_secondary or p
+    v = {}
+    v["C_X"], v["e_X"] = _side_weights(p.cX_minus, p.cX_plus, lam)
+    v["C_Y"], v["e_Y"] = _side_weights(p.cY_minus, p.cY_plus, lam)
+    v["Ct_X"], v["et_X"] = _side_weights(t.cX_minus, t.cX_plus, lam)
+    v["Ct_Y"], v["et_Y"] = _side_weights(t.cY_minus, t.cY_plus, lam)
+    return WeightProfile(v, model.growth, model.bounded_x_variation)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +297,7 @@ def _build_metric_power(sx, sy, lam, *, p=None, anchor=None, norm_ord=None,
             gy = Growth(0.0, 2.0 * p * R / lam, p - 1.0)
         else:
             gy = CONST_GROWTH
-        growth = _growth(C_Y=Growth(float(p)), e_Y=gy, Ct_Y=Growth(float(p)), et_Y=gy)
-        return CostModel(sx, sy, cost, dom, None, growth)
+        return CostModel(sx, sy, cost, dom, None, _growth(C_Y=Growth(float(p)), e_Y=gy))
 
     if setting == "unbounded":
         if int(p) != p:
@@ -375,8 +354,7 @@ def _build_separability(sx, sy, lam, *, anchor=None, norm_ord=1, kappa_max=None)
     if kappa_max is not None and kappa > kappa_max:
         raise SeparabilityViolated(f"triangle defect {kappa:.6g} exceeds bound {kappa_max}")
     dom = DominatingCollection(dx - kappa / 2.0, dx, dy - kappa / 2.0, dy)
-    growth = _growth(C_X=Growth(1.0), C_Y=Growth(1.0), Ct_X=Growth(1.0), Ct_Y=Growth(1.0))
-    return CostModel(sx, sy, cost, dom, None, growth)
+    return CostModel(sx, sy, cost, dom, None, _growth(C_X=Growth(1.0), C_Y=Growth(1.0)))
 
 
 def _build_custom(sx, sy, lam, *, cost, dom=None):
@@ -557,9 +535,8 @@ def _value_gates(profile: WeightProfile, mu: DiscreteMeasure, letter: str,
     ("Ct_Y", "C_Y", "e_Y") for Y.  A sampled side needs sum a sqrt(mu),
     sum b^2 mu and sum e^2 mu; a fixed side needs sum b mu, sum a mu and
     sum e mu."""
-    g = profile.growth
+    w, g = profile.values, profile.growth
     a, b, e = roles
-    w = {k: getattr(profile, k).values for k in roles}
     if sampled:
         return [
             _checked(f"sum {a} sqrt({letter})", w[a], mu.weights, 0.5, g[a], mu.tail),
@@ -580,8 +557,10 @@ def check_value_conditions(
     s only under "one_sample_r"."""
     # only which sides are sampled matters, so "two_sample" takes any delta
     design = Design.of(mode, 0.5 if mode == TWO_SAMPLE else None)
-    sums = (_value_gates(profile, r, "r", ("C_X", "Ct_X", "et_X"), bool(design.w_r))
-            + _value_gates(profile, s, "s", ("Ct_Y", "C_Y", "e_Y"), bool(design.w_s)))
+    # a weight or its square may overflow to inf, which reads as diverging
+    with np.errstate(over="ignore"):
+        sums = (_value_gates(profile, r, "r", ("C_X", "Ct_X", "et_X"), bool(design.w_r))
+                + _value_gates(profile, s, "s", ("Ct_Y", "C_Y", "e_Y"), bool(design.w_s)))
     return _aggregate(sums, "value_clt")
 
 
@@ -589,15 +568,14 @@ def check_plan_conditions(
     r: DiscreteMeasure, s: DiscreteMeasure, profile: WeightProfile
 ) -> ConditionReport:
     """Summability gates for the plan limit theorem (one sample from r)."""
-    g = profile.growth
+    w, g = profile.values, profile.growth
     # a large finite e_Y overflows to inf, which the verdict reads as diverging
     with np.errstate(over="ignore"):
-        weight = profile.C_Y.values * profile.e_Y.values**4
-    sums = [
-        _checked("sum C_X sqrt(r)", profile.C_X.values, r.weights, 0.5, g["C_X"], r.tail),
-        _checked("sum C_Y e_Y^4 s", weight, s.weights, 1.0, g["C_Y"].times(g["e_Y"].power(4)),
-                 s.tail),
-    ]
+        sums = [
+            _checked("sum C_X sqrt(r)", w["C_X"], r.weights, 0.5, g["C_X"], r.tail),
+            _checked("sum C_Y e_Y^4 s", w["C_Y"] * w["e_Y"]**4, s.weights, 1.0,
+                     g["C_Y"].times(g["e_Y"].power(4)), s.tail),
+        ]
     if not profile.bounded_x_variation:
         sums.append(CheckedSum("sup |cX+ - cX-|", math.inf, "diverges", "unbounded X-variation"))
     return _aggregate(sums, "plan_clt")

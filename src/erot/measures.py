@@ -135,22 +135,6 @@ class SignedVector:
 
 
 @dataclass(frozen=True)
-class WeightFunction:
-    """Positive weights aligned with a space; the C/e/k profiles live in [1, inf)."""
-
-    space: IndexedSpace
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.space.size,):
-            raise SpaceMismatch("weight vector does not match space size")
-        if np.any(v <= 0):
-            raise ValueError("weight function must be strictly positive")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
 class Design:
     """Sampling design of a limit theorem: the weights of the r- and
     s-empirical processes in the limit.  One sample from r is (1, 0), one
@@ -245,10 +229,11 @@ def subweibull_measure(space: IndexedSpace, gamma: float, theta: float) -> Discr
     return truncated_measure(np.exp(-gamma * i**theta), space, tail=tail)
 
 
-def weighted_l1_norm(a: SignedVector, w: WeightFunction) -> float:
-    if not a.space.same_as(w.space):
-        raise SpaceMismatch("signed vector and weight function live on different spaces")
-    return float(np.abs(a.entries) @ w.values)
+def weighted_l1_norm(a: SignedVector, w: np.ndarray) -> float:
+    """sum_i |a_i| w_i, for a weight vector w aligned with a's space."""
+    if np.shape(w) != a.entries.shape:
+        raise SpaceMismatch("weight vector does not match the signed vector's space")
+    return float(np.abs(a.entries) @ w)
 
 
 def truncate_signed(h: SignedVector, l: int) -> SignedVector:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostModel, WeightProfile, row_blocks
+from .costs import CostModel, _side_weights, row_blocks
 from .errors import (
     AsymmetricSetup,
     InvalidFamilyParams,
@@ -393,13 +393,18 @@ def verify_bounds(sol: SinkhornSolution, m: CostModel, r: DiscreteMeasure,
     dom = m.dom_primary
     rw, sw = r.weights, s.weights
     ix, iy = rw > 0, sw > 0
+    _, eX = _side_weights(dom.cX_minus, dom.cX_plus, lam)
+    _, eY = _side_weights(dom.cY_minus, dom.cY_plus, lam)
+
+    def mean(v, mass):
+        # an atom without mass adds nothing, even where v is infinite
+        return np.where(mass > 0, v, 0.0) @ mass
+
     with np.errstate(over="ignore"):
-        eX = np.exp((dom.cX_plus - dom.cX_minus) / lam)
-        eY = np.exp((dom.cY_plus - dom.cY_minus) / lam)
-        mean_plus_X = dom.cX_plus @ rw
-        mean_plus_Y = dom.cY_plus @ sw
-        half_minus = 0.5 * (dom.cX_minus @ rw + dom.cY_minus @ sw)
-        eX_r, eY_s = eX @ rw, eY @ sw
+        mean_plus_X = mean(dom.cX_plus, rw)
+        mean_plus_Y = mean(dom.cY_plus, sw)
+        half_minus = 0.5 * (mean(dom.cX_minus, rw) + mean(dom.cY_minus, sw))
+        eX_r, eY_s = mean(eX, rw), mean(eY, sw)
 
         a_lo = dom.cX_minus - mean_plus_X + half_minus - lam * np.log(eY_s)
         a_hi = dom.cX_plus + mean_plus_Y - half_minus
@@ -407,19 +412,21 @@ def verify_bounds(sol: SinkhornSolution, m: CostModel, r: DiscreteMeasure,
         b_hi = dom.cY_plus + mean_plus_X - half_minus
     finite = all(np.all(np.isfinite(b)) for b in (a_lo[ix], a_hi[ix], b_lo[iy], b_hi[iy]))
 
-    # the plan bounds one row block at a time; np.max over the block maxima
-    # propagates a NaN as np.max over the whole table would
+    # the plan bounds on the support cells, one block of support rows at a
+    # time; np.max over the block maxima propagates a NaN as np.max over
+    # the whole support would
+    xs, ys = np.flatnonzero(ix), np.flatnonzero(iy)
+    r_on, s_on, eX_on, eY_on = rw[xs], sw[ys], eX[xs], eY[ys]
     lower, upper = [], []
-    for rows in row_blocks(rw.size, sw.size):
+    for rows in row_blocks(xs.size, ys.size):
+        plan = sol.plan[np.ix_(xs[rows], ys)]
         with np.errstate(over="ignore"):
-            prod = rw[rows, None] * sw[None, :]
-            p_lo = prod / (eX[rows, None] * eY[None, :] * eX_r**2 * eY_s**2)
-            p_hi = prod * eX[rows, None] * eY[None, :] * eX_r * eY_s
-        lower.append(np.max(p_lo - sol.plan[rows]))
-        upper.append(np.max(sol.plan[rows] - p_hi))
-        support = np.ix_(ix[rows], iy)
-        finite = finite and np.all(np.isfinite(p_lo[support])) and np.all(
-            np.isfinite(p_hi[support]))
+            prod = r_on[rows, None] * s_on[None, :]
+            p_lo = prod / (eX_on[rows, None] * eY_on[None, :] * eX_r**2 * eY_s**2)
+            p_hi = prod * eX_on[rows, None] * eY_on[None, :] * eX_r * eY_s
+        lower.append(np.max(p_lo - plan))
+        upper.append(np.max(plan - p_hi))
+        finite = finite and np.all(np.isfinite(p_lo)) and np.all(np.isfinite(p_hi))
 
     def viol(arr):
         return float(max(0.0, np.max(arr))) if arr.size else 0.0

@@ -583,8 +583,10 @@ def test_ot_exact_marginal_mismatch_writes_its_fields(tmp_path, capsys, monkeypa
 
 
 def _child_env():
+    # a child turns a RuntimeWarning into an error, as the suite's own process does
     src = str(Path(erot.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            "PYTHONWARNINGS": "error::RuntimeWarning"}
 
 
 def _run_process(argv):

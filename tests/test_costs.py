@@ -33,10 +33,10 @@ class TestBoundedFamily:
             {"family": "bounded", "kind": "discrete_metric"}, sp, sp, 1.0
         )
         # max cost 1 split evenly: C = 1 + 1/2, e = exp(1/2)
-        assert np.allclose(prof.C_X.values, 1.5)
-        assert np.allclose(prof.C_Y.values, 1.5)
-        assert np.allclose(prof.e_X.values, math.exp(0.5))
-        assert np.allclose(prof.e_Y.values, math.exp(0.5))
+        assert np.allclose(prof.values["C_X"], 1.5)
+        assert np.allclose(prof.values["C_Y"], 1.5)
+        assert np.allclose(prof.values["e_X"], math.exp(0.5))
+        assert np.allclose(prof.values["e_Y"], math.exp(0.5))
         assert _sandwich_ok(model)
 
     def test_constant_weight_vectors(self):
@@ -120,8 +120,8 @@ class TestSeparabilityFamily:
         dx = np.array([3.0, 2.0, 1.0, 0.0])
         assert np.allclose(model.dom_primary.cX_plus, dx)
         assert np.allclose(model.dom_primary.cX_minus, dx)  # kappa = 0
-        assert np.allclose(prof.e_X.values, 1.0)
-        assert np.allclose(prof.e_Y.values, 1.0)
+        assert np.allclose(prof.values["e_X"], 1.0)
+        assert np.allclose(prof.values["e_Y"], 1.0)
         assert _sandwich_ok(model)
 
     def test_kappa_bound_enforced(self):
@@ -137,16 +137,36 @@ def test_weight_profile_monotone_in_lambda():
     sp = erot.integer_grid(10)
     _, p1 = erot.build_cost({"family": "bounded", "p": 1}, sp, sp, 0.5)
     _, p2 = erot.build_cost({"family": "bounded", "p": 1}, sp, sp, 2.0)
-    assert np.all(p2.e_X.values <= p1.e_X.values)
-    assert np.all(p2.e_Y.values <= p1.e_Y.values)
+    assert np.all(p2.values["e_X"] <= p1.values["e_X"])
+    assert np.all(p2.values["e_Y"] <= p1.values["e_Y"])
 
 
 def test_k_delta_profile():
     sp = erot.integer_grid(4)
     _, prof = erot.build_cost({"family": "bounded", "kind": "discrete_metric"}, sp, sp, 1.0)
-    k = prof.k_X(2.0)
-    assert np.allclose(k.values, prof.C_X.values * prof.e_X.values**2)
-    assert np.all(prof.e_X.values >= 1.0)
+    assert np.all(prof.values["e_X"] >= 1.0)
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "bounded", "p": 1},
+    {"family": "bounded", "kind": "discrete_metric"},
+    {"family": "metric_power", "p": 2, "anchor": 0.0, "setting": "semi_bounded"},
+    {"family": "separability", "anchor": 0.0},
+    {"family": "custom", "cost": [[0.0, 1.0], [1.0, 0.0]]},
+    {"family": "metric_power", "p": 2, "anchor": 0.0, "setting": "unbounded"},
+], ids=["bounded", "discrete_metric", "semi_bounded", "separability", "custom", "unbounded"])
+def test_secondary_weights_default_to_the_primary(spec):
+    # Ct_* and et_* name the secondary collection; a family without one
+    # gives them its primary's values and growth shapes
+    sp = erot.integer_grid(len(spec.get("cost", range(8))))
+    model, prof = erot.build_cost(spec, sp, sp, 1.0)
+    pairs = [(t, t.replace("t", "", 1)) for t in ("Ct_X", "Ct_Y", "et_X", "et_Y")]
+    same_values = [np.array_equal(prof.values[t], prof.values[k]) for t, k in pairs]
+    same_growth = [prof.growth[t] == prof.growth[k] for t, k in pairs]
+    if model.dom_secondary is None:
+        assert all(same_values) and all(same_growth)
+    else:
+        assert not all(same_values) and not all(same_growth)
 
 
 class TestShiftNonnegative:
@@ -268,7 +288,8 @@ class TestConditionChecks:
         r = erot.validate_measure([0.3, 0.25, 0.2, 0.25, 0.0], sp, tail=None)
         sums = erot.check_value_conditions(r, r, prof).checked_sums
         # X, sampled: C_X sqrt(r) over atoms 2 and 3
-        expected = prof.C_X.values[3] * math.sqrt(0.25) / (prof.C_X.values[2] * math.sqrt(0.2))
+        C_X = prof.values["C_X"]
+        expected = C_X[3] * math.sqrt(0.25) / (C_X[2] * math.sqrt(0.2))
         assert sums[0].detail == f"increment ratio {expected:.4g}"
         # Y, fixed: C_Y = 1, so the ratio is s_3 / s_2 and not 0 from the last atom
         assert sums[3].detail == f"increment ratio {0.25 / 0.2:.4g}"
@@ -320,6 +341,15 @@ class TestConditionChecks:
         assert report.verdict == "Fail"
         (gate,) = [c for c in report.checked_sums if c.description == "sum C_Y e_Y^4 s"]
         assert gate.partial_sum == math.inf and gate.verdict == "diverges"
+        # the value gates of a sampled s square e_Y: at lambda = 0.5 on a
+        # polynomial s, sum e_Y^2 s is about e^784
+        _, prof = erot.build_cost({"family": "metric_power", "p": 2, "anchor": 0.0}, sp, sp, 0.5)
+        r, s = erot.geometric_measure(sp, 0.6), erot.polynomial_measure(sp, 3.0)
+        for mode in ("one_sample_s", "two_sample"):
+            report = erot.check_value_conditions(r, s, prof, mode)
+            assert report.verdict == "Fail"
+            (gate,) = [c for c in report.checked_sums if c.description == "sum e_Y^2 s"]
+            assert gate.partial_sum == math.inf and gate.verdict == "diverges"
 
     def test_plan_pass_implies_value_pass_when_single_collection(self):
         sp = erot.integer_grid(25)

@@ -157,10 +157,10 @@ def test_truncate_signed_order_bounds():
 def test_weighted_l1_norm_properties(entries):
     sp = erot.integer_grid(len(entries))
     h = erot.SignedVector(sp, np.array(entries))
-    w = erot.WeightFunction(sp, np.ones(len(entries)))
+    w = np.ones(len(entries))
     # unit weights give the plain l1 norm; norms scale with the weights
     assert erot.weighted_l1_norm(h, w) == pytest.approx(np.abs(h.entries).sum())
-    w2 = erot.WeightFunction(sp, 2 * np.ones(len(entries)))
+    w2 = 2 * np.ones(len(entries))
     assert erot.weighted_l1_norm(h, w2) == pytest.approx(
         2 * erot.weighted_l1_norm(h, w)
     )
@@ -168,7 +168,7 @@ def test_weighted_l1_norm_properties(entries):
 
 def test_weighted_l1_norm_space_mismatch():
     h = erot.SignedVector(erot.integer_grid(3), np.zeros(3))
-    w = erot.WeightFunction(erot.integer_grid(4), np.ones(4))
+    w = np.ones(4)
     with pytest.raises(SpaceMismatch):
         erot.weighted_l1_norm(h, w)
 

@@ -483,6 +483,25 @@ class TestBounds:
         assert report.vacuous is vacuous
         assert report.to_dict()["vacuous"] is vacuous
 
+    def test_zero_mass_atom_with_an_infinite_bound_is_not_vacuous(self):
+        # row 2 holds an infinite cost, so its bound cX+ and its weight e_X
+        # are infinite; without mass it counts for nothing, and the reports
+        # equal those of the same table with a 2 in its place
+        sp = erot.integer_grid(3)
+        r = erot.validate_measure([0.5, 0.5, 0.0], sp)
+        s = erot.validate_measure([0.3, 0.3, 0.4], sp)
+        reports = []
+        for corner in (math.inf, 2.0):
+            table = [[0, 1, 2], [1, 0, 1], [corner, 1, 0]]
+            m, _ = erot.build_cost({"family": "custom", "cost": table}, sp, sp, 1.0)
+            sol = erot.solve(r, s, m, 1.0)
+            scaled = dataclasses.replace(sol, plan=1e3 * sol.plan)
+            reports.append([erot.verify_bounds(x, m, r, s).to_dict() for x in (sol, scaled)])
+        assert reports[0] == reports[1]
+        solved, scaled = reports[0]
+        assert solved["vacuous"] is False and solved["max"] == 0.0
+        assert scaled["vacuous"] is False and scaled["plan_upper"] > 0
+
     @staticmethod
     def _dense(sol, m, r, s):
         """The whole-table bound check, kept as the oracle."""

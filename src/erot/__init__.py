@@ -17,9 +17,7 @@ from .measures import (
     polynomial_measure,
     shannon_entropy,
     subweibull_measure,
-    truncate_signed,
     validate_measure,
-    weighted_l1_norm,
 )
 from .costs import (
     ConditionReport,
@@ -28,7 +26,6 @@ from .costs import (
     build_cost,
     check_plan_conditions,
     check_value_conditions,
-    shift_nonnegative,
 )
 from .sinkhorn import (
     BoundReport,

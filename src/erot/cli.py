@@ -224,6 +224,9 @@ def _cmd_plan_cov(a):
 
 def _cmd_derivative_check(a):
     ts = io.cast_value(_floats, a.ts, "--ts")
+    # the slope is fitted through the steps, and each step moves along +h
+    if not (len(set(ts)) >= 2 and all(0 < t < np.inf for t in ts)):
+        raise ConfigParse(f"--ts needs two or more distinct, positive, finite steps; got {a.ts}")
     r, s, model, cfg, sol = _solved(a)
     ops = build_operators(sol, r, s, model)
     rng = np.random.default_rng(a.seed)
@@ -242,7 +245,7 @@ def _cmd_derivative_check(a):
     for t in ts:
         r_t = type(r)(r.space, r.weights + t * hX.entries, tail=r.tail)
         s_t = type(s)(s.space, s.weights + t * hY.entries, tail=s.tail)
-        sol_t = solve(r_t, s_t, model, a.lam, cfg, warm_start=(sol.alpha, sol.beta))
+        sol_t = solve(r_t, s_t, model, a.lam, cfg, warm_start=sol.alpha)
         plan_errors.append(float(np.abs((sol_t.plan - sol.plan) / t - dpi).sum()))
         value_errors.append(abs((sol_t.value - sol.value) / t - dval))
 

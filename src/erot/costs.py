@@ -15,7 +15,7 @@ grids where atom coordinates grow linearly with the index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -227,8 +227,8 @@ def _pairwise_dist(sx: IndexedSpace, sy: IndexedSpace, ord=None, p: float = 1.0)
 def build_cost(family_spec: dict, space_X: IndexedSpace, space_Y: IndexedSpace, lam: float):
     """Construct a cost model plus its weight profile for one of the shipped
     families.  Returns ``(CostModel, WeightProfile)``."""
-    if lam <= 0:
-        raise InvalidFamilyParams("regularization parameter must be positive")
+    if not 0 < lam < np.inf:  # false for a NaN lam too
+        raise InvalidFamilyParams("regularization parameter must be positive and finite")
     spec = dict(family_spec)
     builder = cost_family(spec.pop("family", None))[0]
     # a key the builder does not take raises TypeError instead of being ignored
@@ -413,30 +413,6 @@ COST_FAMILIES = {
                                            "kappa_max": _number}),
     "custom": (_build_custom, {"cost!": _numbers, "dom": _dom}),
 }
-
-
-def shift_nonnegative(m: CostModel, r: DiscreteMeasure, s: DiscreteMeasure):
-    """Subtract the separable lower bound so the cost is nonnegative.
-
-    Returns the shifted model and the offset with value(c) = value(c~) + offset.
-    """
-    dom = m.dom_primary
-    for side, space, lower in (("X", m.space_X, dom.cX_minus), ("Y", m.space_Y, dom.cY_minus)):
-        if not np.isfinite(lower).all():
-            i = int(np.argmin(np.isfinite(lower)))
-            raise InvalidFamilyParams(f"atom {space.labels[i]!r} of {side} has the infinite "
-                                      f"lower dominating bound {lower[i]}; no shift removes it")
-    offset = float(dom.cX_minus @ r.weights + dom.cY_minus @ s.weights)
-    shifted_cost = m.cost - dom.cX_minus[:, None]
-    shifted_cost -= dom.cY_minus[None, :]
-    shifted_dom = DominatingCollection(
-        cX_minus=np.zeros(m.space_X.size),
-        cX_plus=dom.cX_plus - dom.cX_minus,
-        cY_minus=np.zeros(m.space_Y.size),
-        cY_plus=dom.cY_plus - dom.cY_minus,
-    )
-    shifted = replace(m, cost=shifted_cost, dom_primary=shifted_dom, dom_secondary=None)
-    return shifted, offset
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,6 @@ class SpaceMismatch(ErotError):
     pass
 
 
-class OrderOutOfRange(ErotError):
-    pass
-
-
 class EmptySample(ErotError):
     pass
 

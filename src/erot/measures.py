@@ -1,5 +1,5 @@
 """Finite truncations of countable spaces, probability measures and signed
-perturbations on them, weighted l1 norms, entropy, and empirical measures.
+perturbations on them, entropy, and empirical measures.
 
 A countable space is represented by a finite, ordered truncation whose atoms
 may carry numeric coordinates (needed by metric cost families).  Measures on
@@ -23,7 +23,6 @@ from .errors import (
     IndexOutOfRange,
     MassMismatch,
     NegativeWeight,
-    OrderOutOfRange,
     SpaceMismatch,
 )
 
@@ -229,27 +228,6 @@ def subweibull_measure(space: IndexedSpace, gamma: float, theta: float) -> Discr
     return truncated_measure(np.exp(-gamma * i**theta), space, tail=tail)
 
 
-def weighted_l1_norm(a: SignedVector, w: np.ndarray) -> float:
-    """sum_i |a_i| w_i, for a weight vector w aligned with a's space."""
-    if np.shape(w) != a.entries.shape:
-        raise SpaceMismatch("weight vector does not match the signed vector's space")
-    return float(np.abs(a.entries) @ w)
-
-
-def truncate_signed(h: SignedVector, l: int) -> SignedVector:
-    """Support the vector on the first ``l`` atoms, folding all tail mass
-    (entries beyond position l) into the first atom so the total sum is
-    preserved exactly."""
-    n = h.space.size
-    if not 2 <= l <= n:
-        raise OrderOutOfRange(f"order {l} outside [2, {n}]")
-    out = np.zeros(n)
-    out[1:l] = h.entries[1:l]
-    # math.fsum keeps the fold exact to the last bit over long tails
-    out[0] = math.fsum(h.entries[:1].tolist() + h.entries[l:].tolist())
-    return SignedVector(h.space, out)
-
-
 def shannon_entropy(m: DiscreteMeasure) -> float:
     w = m.weights[m.weights > 0]
     return float(-(w @ np.log(w)))
@@ -269,8 +247,3 @@ def empirical_measure(sample_indices, space: IndexedSpace) -> DiscreteMeasure:
     counts = np.bincount(idx, minlength=space.size).astype(float)
     return DiscreteMeasure(space, counts / idx.size, tail=FINITE_TAIL)
 
-
-def l1_distance(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
-    if not a.space.same_as(b.space):
-        raise SpaceMismatch("measures live on different spaces")
-    return float(np.abs(a.weights - b.weights).sum())

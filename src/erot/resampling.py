@@ -154,7 +154,7 @@ def _bootstrap(sample, s, m, lam, B, seed, cfg, f):
     base = solve(r_hat, s, m, lam, cfg)
     base_stat = base.value if f is None else float(np.sum(f * base.plan))
     n = sample.size
-    warm = (base.alpha, base.beta)
+    warm = base.alpha
 
     def one(rng):
         sol = solve(_sample_from(r_hat, n, rng), s, m, lam, cfg, warm_start=warm)
@@ -199,7 +199,7 @@ def mc_clt_experiment(r: DiscreteMeasure, s: DiscreteMeasure, m: CostModel,
             ops = build_operators(pop, r, s, m)
             target = float(functional_covariance(ops, r, s, [f], design)[0, 0])
             read = lambda sol: float(np.sum(f * sol.plan))
-        pop_stat, warm = read(pop), (pop.alpha, pop.beta)
+        pop_stat, warm = read(pop), pop.alpha
 
         def stat_of(r_hat, s_hat):
             return read(solve(r_hat, s_hat, m, lam, solve_cfg, warm_start=warm))
@@ -292,9 +292,9 @@ def vanishing_lambda_experiment(
     trace = []
     size_seeds = np.random.SeedSequence(seed).spawn(len(sample_sizes))
     for n, lam, size_seed in zip(sample_sizes, lambdas, size_seeds):
-        pop = solve(r, s, m, lam, warm_start=(ot.alpha0, ot.beta0))
+        pop = solve(r, s, m, lam, warm_start=ot.alpha0)
 
-        def one(rng, n=n, lam=lam, warm=(pop.alpha, pop.beta)):
+        def one(rng, n=n, lam=lam, warm=pop.alpha):
             """(plug-in variance Var_{r_hat}[alpha], standardized value draw)"""
             r_hat = _sample_from(r, n, rng)
             sol = solve(r_hat, s, m, lam, warm_start=warm)

@@ -47,10 +47,12 @@ import numpy as np
 from .costs import CostModel, _side_weights, row_blocks
 from .errors import (
     AsymmetricSetup,
+    ConfigParse,
     InvalidFamilyParams,
     MarginalMismatch,
     NegativeWeight,
     NonConvergence,
+    SpaceMismatch,
     TooLarge,
 )
 from .measures import DiscreteMeasure, entropy_pair
@@ -70,6 +72,12 @@ GAP_TOL = 1e-8
 class SolveConfig:
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
+
+    def __post_init__(self):
+        # max_iter = 0 is valid: it forces a NonConvergence
+        if not (0 < self.tol < np.inf and self.max_iter >= 0):
+            raise ConfigParse(f"a solve needs a positive, finite tol and max_iter >= 0; "
+                              f"got tol {self.tol}, max_iter {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -173,19 +181,22 @@ def solve(
     m: CostModel,
     lam: float,
     cfg: SolveConfig = SolveConfig(),
-    warm_start: tuple[np.ndarray, np.ndarray] | None = None,
+    warm_start: np.ndarray | None = None,
 ) -> SinkhornSolution:
     """Compute the entropic transport plan, potentials and value.
 
     The fixed point is solved on supp(r) x supp(s); potentials on zero-mass
     atoms are back-filled from the converged ones.  The returned plan has
-    exact row marginals and column marginals within the l1 tolerance.  Of a
-    warm start (alpha, beta) only warm_start[0], alpha, is read.  The
-    potentials are in the balanced gauge <alpha, r> = <beta, s>; what is
-    derived from them is invariant under (alpha + t, beta - t).
+    exact row marginals and column marginals within the l1 tolerance.  A
+    warm start is alpha, one entry per atom of X.  The potentials are in the
+    balanced gauge <alpha, r> = <beta, s>; what is derived from them is
+    invariant under (alpha + t, beta - t).
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < np.inf:  # false for a NaN lam too
+        raise ValueError("lam must be positive and finite")
+    if warm_start is not None and np.shape(warm_start) != r.weights.shape:
+        raise SpaceMismatch(f"warm start of shape {np.shape(warm_start)} is not alpha on X, "
+                            f"of shape {r.weights.shape}")
     rw, sw = r.weights, s.weights
     if not (rw.min() >= 0 and sw.min() >= 0):  # false for a NaN weight too
         raise NegativeWeight("solve needs nonnegative, non-NaN weights in r and s")
@@ -214,7 +225,7 @@ def solve(
         alpha, beta, u, v = start
     else:
         if warm_start is not None:
-            alpha = np.asarray(warm_start[0], dtype=float)[ix]
+            alpha = np.asarray(warm_start, dtype=float)[ix]
         else:
             alpha = np.zeros(ix.size)
         beta = _log_update(log_r, alpha, c, lam, 0, work)
@@ -826,7 +837,7 @@ def vanishing_reg_gap(
     lam_sorted = sorted(lambdas, reverse=True)
     for lam in lam_sorted:
         sol = solve(r, s, m, lam, warm_start=warm)
-        warm = (sol.alpha, sol.beta)
+        warm = sol.alpha
         erots.append(sol.value)
         costs.append(sol.cost_part)
         holds &= (

@@ -837,7 +837,19 @@ def test_malformed_cost_and_measure_keys_exit_2(tmp_path, capsys, cost, tail_key
 @pytest.mark.parametrize("argv, message", [
     (["variance", "--mode", "two_sample"], "two-sample mode needs delta in (0, 1)"),
     (["bootstrap", "--n", "50", "--B", "0"], "B must be >= 1"),
-], ids=["two_sample-without-delta", "bootstrap-B-zero"])
+    # a tol or cap that no solve can honour
+    *[(["solve", *flags], f"a solve needs a positive, finite tol and max_iter >= 0; got {got}")
+      for flags, got in ((["--tol", "-1"], "tol -1.0, max_iter 100000"),
+                         (["--tol", "nan"], "tol nan, max_iter 100000"),
+                         (["--tol", "inf"], "tol inf, max_iter 100000"),
+                         (["--max-iter", "-3"], "tol 1e-10, max_iter -3"))],
+    # steps the slope fit cannot use: a zero step divides by zero, a negative
+    # one leaves the simplex, and one distinct step fits a line through a point
+    *[(["derivative-check", f"--ts={ts}"],
+       f"--ts needs two or more distinct, positive, finite steps; got {ts}")
+      for ts in ("0,1e-3", "-1e-2,1e-3", "1e-2", "1e-3,1e-3")],
+], ids=["two_sample-without-delta", "bootstrap-B-zero", "tol-negative", "tol-nan", "tol-inf",
+        "max-iter-negative", "ts-zero", "ts-negative", "ts-one-step", "ts-repeated-step"])
 def test_refused_design_and_replications_are_config_parse(instance, capsys, argv, message):
     paths, tmp = instance
     code = main([*argv, *_base(paths, "--lambda", "1", "--out", str(tmp / "x.json"))])

@@ -169,55 +169,6 @@ def test_secondary_weights_default_to_the_primary(spec):
         assert not all(same_values) and not all(same_growth)
 
 
-class TestShiftNonnegative:
-    def test_already_nonnegative(self):
-        sp = erot.integer_grid(3)
-        model, _ = erot.build_cost({"family": "bounded", "kind": "discrete_metric"}, sp, sp, 1.0)
-        r = erot.validate_measure([0.2, 0.3, 0.5], sp)
-        shifted, offset = erot.shift_nonnegative(model, r, r)
-        assert offset == 0.0
-        assert np.array_equal(shifted.cost, model.cost)
-
-    def test_constant_shift(self):
-        sp = erot.integer_grid(2)
-        base = np.array([[0.0, 1.0], [1.0, 0.0]])
-        from erot.costs import CostModel, DominatingCollection
-
-        model = CostModel(
-            sp, sp, base - 3.0,
-            DominatingCollection(np.full(2, -3.0), np.full(2, 1.0),
-                                 np.zeros(2), np.zeros(2)),
-            None,
-        )
-        r = erot.validate_measure([0.5, 0.5], sp)
-        shifted, offset = erot.shift_nonnegative(model, r, r)
-        assert offset == pytest.approx(-3.0)
-        assert np.allclose(shifted.cost, base)
-
-    def test_same_argmin_plan(self):
-        rng = np.random.default_rng(7)
-        sp = erot.integer_grid(3)
-        cost = rng.uniform(0, 1, (3, 3))
-        r = erot.validate_measure(rng.dirichlet(np.ones(3)), sp)
-        s = erot.validate_measure(rng.dirichlet(np.ones(3)), sp)
-        model, _ = erot.build_cost({"family": "custom", "cost": cost}, sp, sp, 1.0)
-        shifted, offset = erot.shift_nonnegative(model, r, s)
-        a = erot.solve(r, s, model, 1.0)
-        b = erot.solve(r, s, shifted, 1.0)
-        assert np.allclose(a.plan, b.plan, atol=1e-9)
-        assert a.value == pytest.approx(b.value + offset, abs=1e-9)
-
-    def test_refuses_an_infinite_lower_bound_before_any_arithmetic(self):
-        # a row of +inf costs has an infinite lower bound cX-, which no
-        # finite shift removes, even on an atom without mass
-        sp = erot.integer_grid(4)
-        table = [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [math.inf] * 4]
-        model, _ = erot.build_cost({"family": "custom", "cost": table}, sp, sp, 1.0)
-        r = erot.validate_measure([0.4, 0.3, 0.3, 0.0], sp)
-        with pytest.raises(InvalidFamilyParams, match="atom '3' of X has the infinite lower"):
-            erot.shift_nonnegative(model, r, r)
-
-
 class TestConditionChecks:
     def test_bounded_geometric_passes(self):
         sp = erot.integer_grid(30)
@@ -512,18 +463,6 @@ class TestBlockedTables:
         erot.build_cost({**spec, "kappa_max": kappa}, sx, sy, 1.0)
         with pytest.raises(SeparabilityViolated):
             erot.build_cost({**spec, "kappa_max": np.nextafter(kappa, -np.inf)}, sx, sy, 1.0)
-
-    def test_shift_equals_the_dense_table(self):
-        rng = np.random.default_rng(25)
-        sx, sy = erot.integer_grid(NX), erot.integer_grid(NY)
-        m, _ = erot.build_cost({"family": "custom", "cost": rng.normal(size=(NX, NY))},
-                               sx, sy, 1.0)
-        r = erot.validate_measure(np.full(NX, 1 / NX), sx)
-        s = erot.validate_measure(np.full(NY, 1 / NY), sy)
-        shifted, _ = erot.shift_nonnegative(m, r, s)
-        dom = m.dom_primary
-        dense = m.cost - dom.cX_minus[:, None] - dom.cY_minus[None, :]
-        assert np.array_equal(shifted.cost, dense)
 
 
 class TestNonFiniteCosts:

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import erot
 from erot.errors import (
@@ -11,7 +9,6 @@ from erot.errors import (
     IndexOutOfRange,
     MassMismatch,
     NegativeWeight,
-    OrderOutOfRange,
     SpaceMismatch,
 )
 
@@ -119,60 +116,6 @@ def test_geometric_measure_shape():
     assert math.isclose(m.weights.sum(), 1.0, abs_tol=1e-15)
 
 
-@given(
-    entries=st.lists(
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-        min_size=3,
-        max_size=40,
-    ),
-    data=st.data(),
-)
-@settings(max_examples=200, deadline=None)
-def test_truncate_signed_preserves_sum(entries, data):
-    sp = erot.integer_grid(len(entries))
-    h = erot.SignedVector(sp, np.array(entries))
-    l = data.draw(st.integers(min_value=2, max_value=len(entries)))
-    t = erot.truncate_signed(h, l)
-    # the fold is exact: compare against fsum of the originals
-    assert math.fsum(t.entries.tolist()) == pytest.approx(
-        math.fsum(entries), abs=1e-9 * (1 + abs(math.fsum(entries)))
-    )
-    assert np.all(t.entries[l:] == 0.0)
-    assert np.array_equal(t.entries[1:l], h.entries[1:l])
-
-
-def test_truncate_signed_order_bounds():
-    sp = erot.integer_grid(4)
-    h = erot.SignedVector(sp, np.arange(4.0))
-    with pytest.raises(OrderOutOfRange):
-        erot.truncate_signed(h, 1)
-    with pytest.raises(OrderOutOfRange):
-        erot.truncate_signed(h, 5)
-
-
-@given(
-    st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=20)
-)
-@settings(max_examples=100, deadline=None)
-def test_weighted_l1_norm_properties(entries):
-    sp = erot.integer_grid(len(entries))
-    h = erot.SignedVector(sp, np.array(entries))
-    w = np.ones(len(entries))
-    # unit weights give the plain l1 norm; norms scale with the weights
-    assert erot.weighted_l1_norm(h, w) == pytest.approx(np.abs(h.entries).sum())
-    w2 = 2 * np.ones(len(entries))
-    assert erot.weighted_l1_norm(h, w2) == pytest.approx(
-        2 * erot.weighted_l1_norm(h, w)
-    )
-
-
-def test_weighted_l1_norm_space_mismatch():
-    h = erot.SignedVector(erot.integer_grid(3), np.zeros(3))
-    w = np.ones(4)
-    with pytest.raises(SpaceMismatch):
-        erot.weighted_l1_norm(h, w)
-
-
 def test_shannon_entropy_uniform():
     sp = erot.integer_grid(4)
     m = erot.validate_measure(np.full(4, 0.25), sp)
@@ -196,9 +139,3 @@ def test_empirical_measure_counts():
     with pytest.raises(IndexOutOfRange):
         erot.empirical_measure([4], sp)
 
-
-def test_l1_distance():
-    sp = erot.integer_grid(2)
-    a = erot.validate_measure([1.0, 0.0], sp)
-    b = erot.validate_measure([0.0, 1.0], sp)
-    assert erot.measures.l1_distance(a, b) == pytest.approx(2.0)

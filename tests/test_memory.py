@@ -69,12 +69,6 @@ def test_is_symmetric(inst):
     assert verdict and extra <= SLACK_MB
 
 
-def test_shift_nonnegative(inst):
-    _, _, r, s, m = inst
-    (shifted, _), extra, held = _peak_over_held_mb(lambda: costs.shift_nonnegative(m, r, s))
-    assert extra <= SLACK_MB and held <= TABLE_MB + 0.5
-
-
 def test_mutual_information(inst):
     _, _, r, s, _ = inst
     pi = np.outer(r.weights, s.weights)

@@ -528,7 +528,7 @@ class TestOracles:
         def plan_at(step):
             rt = erot.validate_measure(r.weights + step * hX.entries, r.space)
             st = erot.validate_measure(s.weights + step * hY.entries, s.space)
-            return erot.solve(rt, st, m, 1.0, cfg, warm_start=(sol.alpha, sol.beta)).plan
+            return erot.solve(rt, st, m, 1.0, cfg, warm_start=sol.alpha).plan
 
         fd = (plan_at(t) - plan_at(-t)) / (2 * t)
         assert np.abs(fd - d).sum() <= bound * np.abs(d).sum()

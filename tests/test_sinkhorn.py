@@ -15,6 +15,7 @@ from erot.errors import (
     MarginalMismatch,
     NegativeWeight,
     NonConvergence,
+    SpaceMismatch,
 )
 from erot.sinkhorn import _log_update
 
@@ -125,6 +126,36 @@ class TestSolve:
         assert sol.alpha @ r.weights == pytest.approx(sol.beta @ s.weights, abs=1e-12)
         assert sol.value == pytest.approx(2 * sol.alpha @ r.weights, abs=1e-12)
 
+    def test_separable_cost_shift(self):
+        # c + a (+) b leaves the plan as it is and moves the value by
+        # <a, r> + <b, s>: the shift is constant on the coupling set
+        rng = np.random.default_rng(7)
+        r, s, m = _random_instance(rng, 3, 4, cost_scale=1.0)
+        a, b = rng.uniform(-3, 3, 3), rng.uniform(-3, 3, 4)
+        shifted, _ = erot.build_cost({"family": "custom", "cost": m.cost + a[:, None] + b},
+                                     r.space, s.space, 1.0)
+        sol, moved = erot.solve(r, s, m, 1.0), erot.solve(r, s, shifted, 1.0)
+        assert np.allclose(moved.plan, sol.plan, atol=1e-9)
+        assert moved.value == pytest.approx(sol.value + a @ r.weights + b @ s.weights, abs=1e-9)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    def test_lambda_must_be_positive_and_finite(self, lam):
+        r, s, m = _random_instance(np.random.default_rng(1), 3, 3)
+        with pytest.raises(ValueError, match="positive and finite"):
+            erot.solve(r, s, m, lam)
+        with pytest.raises(InvalidFamilyParams, match="positive and finite"):
+            erot.build_cost({"family": "bounded", "p": 1}, r.space, s.space, lam)
+
+    def test_warm_start_is_alpha_on_x(self):
+        # a warm start is alpha on X: a shorter or longer alpha and an
+        # (alpha, beta) pair are each refused
+        r, s, m = _random_instance(np.random.default_rng(9), 3, 4)
+        sol = erot.solve(r, s, m, 1.0)
+        assert erot.solve(r, s, m, 1.0, warm_start=sol.alpha).iterations <= 2
+        for warm in (sol.alpha[:2], np.append(sol.alpha, 0.0), (sol.alpha, sol.alpha)):
+            with pytest.raises(SpaceMismatch, match="is not alpha on X"):
+                erot.solve(r, s, m, 1.0, warm_start=warm)
+
     def test_lambda_monotone_value(self):
         rng = np.random.default_rng(4)
         r, s, m = _random_instance(rng, 6, 6)
@@ -227,7 +258,7 @@ def _oracle_solve(r, s, m, lam, cfg=erot.SolveConfig(), warm_start=None):
     ix, iy = np.flatnonzero(rw > 0), np.flatnonzero(sw > 0)
     c = m.cost[np.ix_(ix, iy)]
     log_r, log_s = np.log(rw[ix]), np.log(sw[iy])
-    alpha = np.zeros(ix.size) if warm_start is None else np.asarray(warm_start[0])[ix]
+    alpha = np.zeros(ix.size) if warm_start is None else np.asarray(warm_start)[ix]
     beta = _oracle_update(log_r, alpha, c, lam, 0)
     for it in range(1, cfg.max_iter + 1):
         alpha = _oracle_update(log_s, beta, c, lam, 1)
@@ -272,7 +303,8 @@ class TestScalingLoop:
             s = erot.validate_measure(w_s / w_s.sum(), spy)
             m, _ = erot.build_cost(
                 {"family": "custom", "cost": rng.uniform(0, 2, (nx, ny))}, spx, spy, 1.0)
-            warm = (rng.uniform(-1, 1, nx), rng.uniform(-1, 1, ny)) if k % 3 == 0 else None
+            # a warm alpha; drawing ny more keeps the loop's later instances fixed
+            warm = rng.uniform(-1, 1, nx + ny)[:nx] if k % 3 == 0 else None
             sol = erot.solve(r, s, m, lam, warm_start=warm)
             _assert_matches_oracle(sol, _oracle_solve(r, s, m, lam, warm_start=warm))
 

@@ -39,7 +39,6 @@ import argparse
 import gc
 import json
 import math
-import operator
 import os
 import sys
 import time
@@ -48,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .costs import check_plan_conditions, check_value_conditions
+from .costs import check_plan_conditions, check_value_conditions, integer, number, numbers
 from .errors import ConfigParse, ErotError, NonConvergence
 from .measures import Design, SignedVector
 from .resampling import (
@@ -104,11 +103,6 @@ FLAGS = {
 }
 # flags naming a file the subcommand reads; the manifest digests each one given
 INPUT_FLAGS = ("r", "s", "cost", "functions", "config")
-# experiment-file key: cast; keys left out take the library's defaults
-MC_CLT_KEYS = {"lambda": float, "seed": int, "statistic": str, "n": int, "m": int,
-               "replications": int, "f": lambda v: np.asarray(v, dtype=float)}
-VANISHING_LAMBDA_KEYS = {"seed": int, "sample_sizes": lambda v: tuple(map(operator.index, v)),
-                         "lambda_coef": float, "lambda_exponent": float, "replications": int}
 
 
 def _attr(flag: str) -> str:
@@ -119,6 +113,18 @@ def _attr(flag: str) -> str:
 def _floats(text: str) -> list:
     """A comma-separated list flag such as --ts."""
     return [float(v) for v in text.split(",")]
+
+
+def _integers(value) -> tuple:
+    """A JSON list of ints as a tuple, each entry read by costs.integer."""
+    return tuple(map(integer, value))
+
+
+# experiment-file key: cast; keys left out take the library's defaults
+MC_CLT_KEYS = {"lambda": number, "seed": integer, "statistic": str, "n": integer, "m": integer,
+               "replications": integer, "f": numbers}
+VANISHING_LAMBDA_KEYS = {"seed": integer, "sample_sizes": _integers, "lambda_coef": number,
+                         "lambda_exponent": number, "replications": integer}
 
 
 def _load_instance(a, lam: float):
@@ -179,6 +185,8 @@ def _cmd_check_conditions(a):
     if a.theorem == "value":
         report = check_value_conditions(r, s, profile, a.mode)
     elif a.theorem == "plan":
+        if a.mode != ONE_SAMPLE_R:  # the theorem is stated for one sample from r
+            raise ConfigParse(f"--theorem plan takes --mode {ONE_SAMPLE_R}, not {a.mode!r}")
         report = check_plan_conditions(r, s, profile)
     else:
         raise ConfigParse(f"unknown theorem {a.theorem!r} (expected value|plan)")

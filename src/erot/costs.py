@@ -244,14 +244,14 @@ def cost_family(family):
 
 
 def _build_bounded(sx, sy, lam, *, cost=None, kind=None, p=None, norm_ord=None):
+    if sum(v is not None for v in (cost, kind, p)) != 1 or kind not in (None, "discrete_metric"):
+        raise InvalidFamilyParams("bounded family needs exactly one of 'cost', 'kind' and 'p'")
     if cost is not None:
         cost = np.asarray(cost, dtype=float)
-    elif kind == "discrete_metric":
+    elif kind is not None:
         cost = np.not_equal.outer(np.asarray(sx.labels), np.asarray(sy.labels)).astype(float)
-    elif p is not None:
-        cost = _pairwise_dist(sx, sy, norm_ord, float(p))
     else:
-        raise InvalidFamilyParams("bounded family needs 'cost', 'kind' or 'p'")
+        cost = _pairwise_dist(sx, sy, norm_ord, float(p))
     if cost.min() < 0:
         raise InvalidFamilyParams("bounded family expects a nonnegative cost")
     C = float(cost.max())
@@ -369,20 +369,26 @@ def _build_custom(sx, sy, lam, *, cost, dom=None):
     return CostModel(sx, sy, cost, dom, None, _growth(), bounded_x)
 
 
-def _number(value):
-    """A JSON number as given; strings, booleans and nulls are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def number(value) -> float:
+    """A JSON int or float, as a float; strings, booleans and nulls are refused."""
+    if type(value) not in (int, float):
         raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def integer(value) -> int:
+    """A JSON int; floats, strings, booleans and nulls are refused."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
     return value
 
 
-def _numbers(value):
-    """A number or an array of numbers as float64, converted in one pass (no
-    check per entry); strings, booleans, nulls and ragged arrays are refused."""
-    table = np.asarray(value)
-    if table.dtype.kind not in "iuf":
-        raise TypeError(f"not an array of numbers (dtype {table.dtype})")
-    return table.astype(float, copy=False)
+def numbers(value) -> np.ndarray:
+    """A number or nested lists of numbers, as float64; each entry must pass number."""
+    table = np.array(value, dtype=object)
+    if not {int, float}.issuperset(map(type, table.flat)):
+        raise TypeError("not a number or a table of numbers")
+    return table.astype(float)
 
 
 def _dom(value):
@@ -391,7 +397,7 @@ def _dom(value):
     fields = DominatingCollection.__dataclass_fields__
     if not (isinstance(value, dict) and value.keys() == fields.keys()):
         raise TypeError("'dom' needs exactly the keys cX_minus, cX_plus, cY_minus and cY_plus")
-    return {key: _numbers(v) for key, v in value.items()}
+    return {key: numbers(v) for key, v in value.items()}
 
 
 def _discrete_metric(value):
@@ -404,14 +410,14 @@ def _discrete_metric(value):
 # parameters, "!" marking one without a default.  io.load_cost casts a cost
 # file's entries with them; build_cost passes a spec's entries on as given.
 COST_FAMILIES = {
-    "bounded": (_build_bounded, {"cost": _numbers, "kind": _discrete_metric, "p": _number,
-                                 "norm_ord": _number}),
-    "metric_power": (_build_metric_power, {"p": _number, "anchor": _numbers,
-                                           "norm_ord": _number, "setting": str,
-                                           "epsilon": _number, "gamma": _number}),
-    "separability": (_build_separability, {"anchor": _numbers, "norm_ord": _number,
-                                           "kappa_max": _number}),
-    "custom": (_build_custom, {"cost!": _numbers, "dom": _dom}),
+    "bounded": (_build_bounded, {"cost": numbers, "kind": _discrete_metric, "p": number,
+                                 "norm_ord": number}),
+    "metric_power": (_build_metric_power, {"p": number, "anchor": numbers,
+                                           "norm_ord": number, "setting": str,
+                                           "epsilon": number, "gamma": number}),
+    "separability": (_build_separability, {"anchor": numbers, "norm_ord": number,
+                                           "kappa_max": number}),
+    "custom": (_build_custom, {"cost!": numbers, "dom": _dom}),
 }
 
 

@@ -1,10 +1,10 @@
 """File schemas and serialization helpers for the command-line interface.
 
 Every JSON input object (measure, tail, cost and experiment file) is read by
-read_object against a declared key set: MEASURE_KEYS, TAIL_KEYS, a family's
-keys in costs.COST_FAMILIES, or the CLI's experiment keys.  Output JSON is
-indented by two spaces; floats are written as Python's shortest round-trip
-repr, so every value round-trips exactly.
+read_object against a declared key set (MEASURE_KEYS, TAIL_KEYS, a family's
+keys in costs.COST_FAMILIES, the CLI's experiment keys), and every number in
+an input file by costs.number, integer or numbers.  Output JSON is indented
+by two spaces; floats are written as Python's shortest round-trip repr.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .costs import build_cost, cost_family
+from .costs import build_cost, cost_family, numbers
 from .errors import ConfigParse
 from .measures import (
     FINITE_TAIL,
@@ -30,6 +30,7 @@ from .measures import (
 
 # element types json's C encoder writes without quotes or brackets
 _NUMBERS = frozenset((int, float, bool))
+SHOWN_CHARS = 200  # cast_value echoes a refused value cut to this many characters
 
 
 def _is_numbers(items) -> bool:
@@ -89,11 +90,13 @@ def sha256_digest(path) -> str:
 
 def cast_value(cast, raw, source: str):
     """cast(raw), or raw itself if cast is None; a value the cast rejects is a
-    ConfigParse naming its source."""
+    ConfigParse naming its source and echoing the value, cut to SHOWN_CHARS."""
     try:
         return raw if cast is None else cast(raw)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigParse(f"bad value for {source}: {raw}") from exc
+        shown = str(raw)
+        cut = f"... ({len(shown)} characters)" if len(shown) > SHOWN_CHARS else ""
+        raise ConfigParse(f"bad value for {source}: {shown[:SHOWN_CHARS]}{cut}") from exc
 
 
 def read_object(raw, keys: dict, path, what: str) -> dict:
@@ -114,11 +117,15 @@ def read_object(raw, keys: dict, path, what: str) -> dict:
     return {key: cast_value(casts[key], value, f"{key!r} in {path}") for key, value in raw.items()}
 
 
-# measure-file key: cast ("!" marks a required key, None a value taken as
-# given); IndexedSpace checks coords and TailFamily the tail's values, and
-# load_measure names the file in their refusals
-MEASURE_KEYS = {"labels!": tuple, "weights!": lambda v: np.asarray(v, dtype=float),
-                "coords": None, "tail": None}
+def _labels(value) -> tuple:
+    if not isinstance(value, list):
+        raise TypeError("labels must be a JSON list")
+    return tuple(value)
+
+
+# measure-file key: cast ("!" marks a required key, None a value taken as given);
+# load_measure names the file in the refusals of IndexedSpace and TailFamily
+MEASURE_KEYS = {"labels!": _labels, "weights!": numbers, "coords": numbers, "tail": None}
 # the tail object's keys are TailFamily's fields
 TAIL_KEYS = {"kind!": None, "q": None, "a": None, "gamma": None, "theta": None}
 
@@ -130,8 +137,8 @@ def load_measure(path) -> DiscreteMeasure:
     tail = entries.get("tail")
     if tail is not None:
         tail = read_object(tail, TAIL_KEYS, path, "'tail' in measure file")
-    # numeric labels double as coordinates; IndexedSpace shapes them (n, 1)
-    if coords is None and all(isinstance(l, (int, float)) for l in labels):
+    # labels that are all numbers (costs.number's rule) double as coordinates
+    if coords is None and {int, float}.issuperset(map(type, labels)):
         coords = labels
     try:
         space = IndexedSpace(labels=labels, coords=coords)
@@ -151,34 +158,13 @@ def load_cost(path, space_X: IndexedSpace, space_Y: IndexedSpace, lam: float):
 
 
 def load_function_tables(path, shape) -> list:
-    """Test tables for plan functionals: a JSON list of 2-D arrays, or a CSV
-    of dense tables separated by blank lines; anything else is a ConfigParse."""
-    p = Path(path)
-    try:
-        if p.suffix == ".json":
-            raw = load_json(p)
-            if not isinstance(raw, list):
-                raise ConfigParse(f"function file {path} must hold a JSON list of tables")
-        else:
-            raw, block = [], []
-            for line in p.read_text().splitlines() + [""]:
-                line = line.strip()
-                if line:
-                    block.append([float(v) for v in line.replace(",", " ").split()])
-                elif block:
-                    raw.append(block)
-                    block = []
-        tables = [np.asarray(t, dtype=float) for t in raw]
-    except (OSError, TypeError, ValueError) as exc:
-        raise ConfigParse(f"cannot read function tables from {path}: {exc}") from exc
-    for t in tables:
-        if t.shape != tuple(shape) or not np.isfinite(t).all():
-            raise ConfigParse(
-                f"function table {t.shape} in {path} is not a finite {tuple(shape)} table"
-            )
-    if not tables:
-        raise ConfigParse(f"no function tables found in {path}")
-    return tables
+    """Test tables for plan functionals: a JSON list of finite tables of the
+    plan's shape, read by costs.numbers; anything else is a ConfigParse naming the file."""
+    tables = cast_value(numbers, load_json(path), f"function file {path}")
+    if not (tables.ndim == 3 and tables.shape[1:] == tuple(shape) and np.isfinite(tables).all()):
+        raise ConfigParse(f"function file {path} must hold a non-empty JSON list of finite "
+                          f"{tuple(shape)} tables, not an array of shape {tables.shape}")
+    return list(tables)
 
 
 def write_draws_csv(draws: np.ndarray, path) -> None:

@@ -583,10 +583,11 @@ def test_ot_exact_marginal_mismatch_writes_its_fields(tmp_path, capsys, monkeypa
 
 
 def _child_env():
-    # a child turns a RuntimeWarning into an error, as the suite's own process does
+    # a child turns every warning into an error: a -W module field cannot name
+    # the erot modules of a `python -m erot.cli` child, so the rule covers all
     src = str(Path(erot.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-            "PYTHONWARNINGS": "error::RuntimeWarning"}
+            "PYTHONWARNINGS": "error"}
 
 
 def _run_process(argv):
@@ -848,8 +849,13 @@ def test_malformed_cost_and_measure_keys_exit_2(tmp_path, capsys, cost, tail_key
     *[(["derivative-check", f"--ts={ts}"],
        f"--ts needs two or more distinct, positive, finite steps; got {ts}")
       for ts in ("0,1e-3", "-1e-2,1e-3", "1e-2", "1e-3,1e-3")],
+    # the plan theorem is stated for one sample from r, and reads no other mode
+    *[(["check-conditions", "--theorem", "plan", "--mode", mode],
+       f"--theorem plan takes --mode one_sample_r, not {mode!r}")
+      for mode in ("bogus", "two_sample")],
 ], ids=["two_sample-without-delta", "bootstrap-B-zero", "tol-negative", "tol-nan", "tol-inf",
-        "max-iter-negative", "ts-zero", "ts-negative", "ts-one-step", "ts-repeated-step"])
+        "max-iter-negative", "ts-zero", "ts-negative", "ts-one-step", "ts-repeated-step",
+        "plan-mode-bogus", "plan-mode-two_sample"])
 def test_refused_design_and_replications_are_config_parse(instance, capsys, argv, message):
     paths, tmp = instance
     code = main([*argv, *_base(paths, "--lambda", "1", "--out", str(tmp / "x.json"))])
@@ -867,7 +873,10 @@ def test_refused_design_and_replications_are_config_parse(instance, capsys, argv
      "measure file {path}: one coordinate row per atom required"),
     ({"labels": ["a0", "a1", "a2"]}, "measure file {path} needs 'weights'"),
     ({"weights": [0.2, 0.3, 0.5]}, "measure file {path} needs 'labels'"),
-], ids=["duplicate-labels", "coords-rows", "coords-scalar", "no-weights", "no-labels"])
+    # a string used to be read as one atom per character
+    ({"labels": "abc", "weights": [0.2, 0.3, 0.5]}, "bad value for 'labels' in {path}: abc"),
+], ids=["duplicate-labels", "coords-rows", "coords-scalar", "no-weights", "no-labels",
+        "labels-string"])
 def test_malformed_measure_space_is_config_parse_naming_the_file(instance, capsys, measure,
                                                                   message):
     paths, tmp = instance
@@ -891,6 +900,111 @@ def test_cost_and_tail_keys_reach_library_parameters():
         assert [key[:-1] for key in keys if key.endswith("!")] == required, family
     fields = [f.name for f in dataclasses.fields(erot.TailFamily)]
     assert [key.rstrip("!") for key in erot.io.TAIL_KEYS] == fields
+
+
+_EYE_3 = np.eye(3).tolist()
+_TABLE_3F = [[float(c) for c in row] for row in _TABLE_3]
+
+# every numeric key of every input file kind: (the flag naming the file, its
+# valid content, the path to an entry that holds an integral number in it,
+# whether the key holds integers); the first item of the path is the key,
+# or the table's index in a function file, which messages name by the file
+_NUMERIC_KEYS = {
+    "measure-weights": ("r", {"labels": ["a0", "a1", "a2"], "weights": [0.5, 0.5, 0.0],
+                              "coords": [0.0, 1.0, 2.0]}, ("weights", 2), False),
+    "measure-coords": ("r", {"labels": ["a0", "a1", "a2"], "weights": [0.5, 0.5, 0.0],
+                             "coords": [0.0, 1.0, 2.0]}, ("coords", 1), False),
+    "bounded-cost": ("cost", {"family": "bounded", "cost": _TABLE_3F}, ("cost", 1, 2), False),
+    **{f"bounded-{key}": ("cost", {"family": "bounded", "p": 1.0, "norm_ord": 2.0}, (key,),
+                          False) for key in ("p", "norm_ord")},
+    **{f"metric_power-{key}": ("cost", {"family": "metric_power", "p": 2.0, "anchor": 0.0,
+                                        "norm_ord": 2.0, "setting": "unbounded",
+                                        "epsilon": 1.0, "gamma": 1.0}, (key,), False)
+       for key in ("p", "anchor", "norm_ord", "epsilon", "gamma")},
+    **{f"separability-{key}": ("cost", {"family": "separability", "anchor": [0.0],
+                                        "norm_ord": 1.0, "kappa_max": 10.0}, path, False)
+       for key, path in (("anchor", ("anchor", 0)), ("norm_ord", ("norm_ord",)),
+                         ("kappa_max", ("kappa_max",)))},
+    "custom-cost": ("cost", {"family": "custom", "cost": _TABLE_3F}, ("cost", 2, 0), False),
+    "custom-dom": ("cost", {"family": "custom", "cost": _TABLE_3F,
+                            "dom": {**_DOM_3, "cX_plus": [2.0] * 3}}, ("dom", "cX_plus", 1),
+                   False),
+    "functions": ("functions", [_EYE_3], (0, 1, 1), False),
+    **{f"mc-clt-{key}": ("config", {"lambda": 1.0, "seed": 1, "statistic": "PlanFunctionalCLT",
+                                    "n": 50, "m": 60, "replications": 2, "f": _EYE_3},
+                         (key, 0, 0) if key == "f" else (key,), key not in ("lambda", "f"))
+       for key in MC_CLT_KEYS if key != "statistic"},
+    **{f"vanishing-lambda-{key}": ("config", {"seed": 1, "sample_sizes": [50, 100],
+                                              "lambda_coef": 1.0, "lambda_exponent": -1.0,
+                                              "replications": 2},
+                                   (key, 1) if key == "sample_sizes" else (key,),
+                                   not key.startswith("lambda"))
+       for key in VANISHING_LAMBDA_KEYS},
+}
+
+
+def _with(obj, path, value):
+    """A deep copy of obj with the entry at path set to value."""
+    obj = json.loads(json.dumps(obj))
+    *outer, last = path
+    inner = obj
+    for step in outer:
+        inner = inner[step]
+    inner[last] = value
+    return obj
+
+
+@pytest.mark.parametrize("case", list(_NUMERIC_KEYS))
+def test_every_numeric_key_reads_numbers_only(instance, capsys, case):
+    # one rule for every number in a file: a numeric string, a boolean, a null
+    # and, where an integer belongs, a non-integral number exit 2 naming the
+    # file and the key, while an integer where a float belongs reads to the
+    # same bits as the float
+    paths, tmp = instance
+    flag, content, path, integral = _NUMERIC_KEYS[case]
+    value = content
+    for step in path:
+        value = value[step]
+    argv = {"r": ["solve", "--lambda", "1"], "cost": ["solve", "--lambda", "1"],
+            "functions": ["plan-cov", "--lambda", "1", "--functions", str(tmp / "fns.json")],
+            "config": ["mc-clt" if case.startswith("mc-clt") else "vanishing-lambda",
+                       "--config", str(tmp / "cfg.json")]}[flag]
+    bad = tmp / {"r": "r_case.json", "cost": "cost_case.json", "functions": "fns.json",
+                 "config": "cfg.json"}[flag]
+    files = {**paths, flag: str(bad)}
+
+    def run(entry):
+        bad.write_text(json.dumps(_with(content, path, entry)))
+        return main([argv[0], *_base(files, *argv[1:], "--out", str(tmp / "out.json"))])
+
+    spellings = [value] if integral else [float(value), int(value)]
+    written = []
+    for entry in spellings:
+        assert run(entry) == 0, entry
+        written.append((tmp / "out.json").read_bytes())
+    assert written == [written[0]] * len(spellings)
+    capsys.readouterr()
+    named = "function file" if flag == "functions" else f"{path[0]!r} in"
+    for entry in [str(value), True, None] + ([value + 0.5] if integral else []):
+        assert run(entry) == 2, entry
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigParse", (entry, err)
+        assert f"{named} {bad}" in err["message"], (entry, err)
+
+
+def test_a_refused_table_is_echoed_short(tmp_path, capsys):
+    # one string entry in a 200-atom table used to echo the whole table
+    table = np.ones((200, 200)).tolist()
+    table[7][9] = "1"
+    r = {"labels": list(range(200)), "weights": [1 / 200] * 200}
+    paths = _write_instance(tmp_path, r, r, {"family": "bounded", "cost": table})
+    assert main(["solve", *_base(paths, "--lambda", "1", "--out", str(tmp_path / "x.json"))]) == 2
+    line = capsys.readouterr().err.strip().splitlines()[-1]
+    err = json.loads(line)
+    assert err["error"] == "ConfigParse" and len(line) < 400
+    shown = str(table)
+    assert err["message"] == (f"bad value for 'cost' in {paths['cost']}: {shown[:200]}... "
+                              f"({len(shown)} characters)")
 
 
 def _all_subcommands(paths, tmp):

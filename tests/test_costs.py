@@ -52,6 +52,19 @@ class TestBoundedFamily:
         with pytest.raises(InvalidFamilyParams):
             erot.build_cost({"family": "bounded", "cost": [[-1, 0], [0, 0]]}, sp, sp, 1.0)
 
+    @pytest.mark.parametrize("spec", [
+        {"cost": (5 * (1 - np.eye(3))).tolist(), "p": 1},
+        {"kind": "discrete_metric", "p": 2},
+        {"kind": "foo", "p": 1},
+        {"kind": "foo"},
+        {"norm_ord": 1},
+    ], ids=["cost-and-p", "kind-and-p", "unknown-kind-and-p", "unknown-kind", "no-source"])
+    def test_takes_exactly_one_cost_source(self, spec):
+        # a second source used to be ignored, and an unknown kind fell through to p
+        sp = erot.integer_grid(3)
+        with pytest.raises(InvalidFamilyParams, match="exactly one of 'cost', 'kind' and 'p'"):
+            erot.build_cost({"family": "bounded", **spec}, sp, sp, 1.0)
+
 
 class TestSemiBoundedFamily:
     def test_example_radius_one(self):

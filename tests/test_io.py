@@ -100,6 +100,12 @@ class TestMeasureFiles:
         assert m.space.coords.ravel().tolist() == [0.0, 3.0]
         assert m.tail.kind == "finite"
 
+    def test_boolean_labels_derive_no_coords(self, tmp_path):
+        # only labels that are all numbers double as coordinates
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"labels": [True, False], "weights": [0.5, 0.5]}))
+        assert io.load_measure(p).space.coords is None
+
     def test_missing_weights_rejected(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text(json.dumps({"labels": ["a"]}))
@@ -122,13 +128,6 @@ class TestFunctionTables:
         fns = io.load_function_tables(p, (2, 2))
         assert len(fns) == 2
         assert np.array_equal(fns[0], [[1, 2], [3, 4]])
-
-    def test_csv_blocks(self, tmp_path):
-        p = tmp_path / "f.csv"
-        p.write_text("1,2\n3,4\n\n0,0\n0,1\n")
-        fns = io.load_function_tables(p, (2, 2))
-        assert len(fns) == 2
-        assert np.array_equal(fns[1], [[0, 0], [0, 1]])
 
     def test_shape_mismatch_rejected(self, tmp_path):
         p = tmp_path / "f.json"

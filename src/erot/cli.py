@@ -42,6 +42,7 @@ import math
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,14 @@ from .sinkhorn import (
 
 PLAN_FLOOR = 1e-16
 
+
+def _number(cast, text: str):
+    """Flag text read by cast (int or float), refusing the "5_0" digit groups it takes."""
+    if "_" in text:
+        raise ValueError(f"digit-group underscore in {text!r}")
+    return cast(text)
+
+
 # flag: (type, default).  --lambda is required except by mc-clt; --out
 # defaults to the subcommand's own file name (COMMANDS).
 FLAGS = {
@@ -87,17 +96,17 @@ FLAGS = {
     "s": (str, None),
     "cost": (str, None),
     "out": (str, None),
-    "lambda": (float, 1.0),
-    "tol": (float, DEFAULT_TOL),
-    "max-iter": (int, DEFAULT_MAX_ITER),
+    "lambda": (partial(_number, float), 1.0),
+    "tol": (partial(_number, float), DEFAULT_TOL),
+    "max-iter": (partial(_number, int), DEFAULT_MAX_ITER),
     "mode": (str, ONE_SAMPLE_R),
-    "delta": (float, None),
+    "delta": (partial(_number, float), None),
     "theorem": (str, None),
     "functions": (str, None),
     "ts": (str, "1e-2,1e-3,1e-4"),
-    "seed": (int, 0),
-    "n": (int, None),
-    "B": (int, 1000),
+    "seed": (partial(_number, int), 0),
+    "n": (partial(_number, int), None),
+    "B": (partial(_number, int), 1000),
     "config": (str, None),
     "lambdas": (str, None),
 }
@@ -112,7 +121,7 @@ def _attr(flag: str) -> str:
 
 def _floats(text: str) -> list:
     """A comma-separated list flag such as --ts."""
-    return [float(v) for v in text.split(",")]
+    return [_number(float, v) for v in text.split(",")]
 
 
 def _integers(value) -> tuple:
@@ -316,9 +325,7 @@ def _cmd_mc_clt(a):
     qq_csv = Path(a.out).with_suffix(".qq.csv")
     io.write_draws_csv(report.standardized_draws, draws_csv)
     io.write_qq_csv(report.standardized_draws, report.target_sigma2, qq_csv)
-    payload = report.to_dict()
-    payload["conditions"] = conditions.to_dict()
-    return payload, [draws_csv, qq_csv]
+    return {**report.to_dict(), "conditions": conditions.to_dict()}, [draws_csv, qq_csv]
 
 
 def _cmd_vanishing_lambda(a):
@@ -466,12 +473,9 @@ def main(argv=None) -> int:
         payload, artifacts = COMMANDS[args.subcommand][0](a)
         _write(args.subcommand, a, payload, artifacts)
         return 0
-    except NonConvergence as exc:
-        print(_error_payload(exc), file=sys.stderr)
-        return 3
     except (ErotError, ValueError) as exc:
         print(_error_payload(exc), file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NonConvergence) else 2
 
 
 def run() -> None:

@@ -246,6 +246,8 @@ def cost_family(family):
 def _build_bounded(sx, sy, lam, *, cost=None, kind=None, p=None, norm_ord=None):
     if sum(v is not None for v in (cost, kind, p)) != 1 or kind not in (None, "discrete_metric"):
         raise InvalidFamilyParams("bounded family needs exactly one of 'cost', 'kind' and 'p'")
+    if norm_ord is not None and p is None:
+        raise InvalidFamilyParams("bounded family reads 'norm_ord' only with 'p'")
     if cost is not None:
         cost = np.asarray(cost, dtype=float)
     elif kind is not None:
@@ -272,7 +274,9 @@ def _bounded_model(sx, sy, cost, C):
 
 
 def _build_metric_power(sx, sy, lam, *, p=None, anchor=None, norm_ord=None,
-                        setting="semi_bounded", epsilon=0.5, gamma=1.0):
+                        setting="semi_bounded", epsilon=None, gamma=None):
+    if setting != "unbounded" and (epsilon is not None or gamma is not None):
+        raise InvalidFamilyParams("metric power reads 'epsilon' and 'gamma' only when unbounded")
     if p is None or p < 1:
         raise InvalidFamilyParams("metric power needs p >= 1")
     if anchor is None:
@@ -303,8 +307,8 @@ def _build_metric_power(sx, sy, lam, *, p=None, anchor=None, norm_ord=None,
         if int(p) != p:
             raise InvalidFamilyParams("unbounded metric power needs integer p")
         p = int(p)
-        eps = float(epsilon)
-        gam = float(gamma)
+        eps = 0.5 if epsilon is None else float(epsilon)
+        gam = 1.0 if gamma is None else float(gamma)
         if eps <= 0 or gam <= 0:
             raise InvalidFamilyParams("epsilon and gamma must be positive")
         q = [0.0] * p
@@ -444,13 +448,8 @@ class ConditionReport:
             "verdict": self.verdict,
             "theorem": self.theorem_tag,
             "sums": [
-                {
-                    "description": c.description,
-                    # an infinite sum is written as null, which strict JSON takes
-                    "partial_sum": c.partial_sum if math.isfinite(c.partial_sum) else None,
-                    "verdict": c.verdict,
-                    "detail": c.detail,
-                }
+                # each sum's fields, an infinite sum as null, which strict JSON takes
+                {**vars(c), "partial_sum": c.partial_sum if math.isfinite(c.partial_sum) else None}
                 for c in self.checked_sums
             ],
         }

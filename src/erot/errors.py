@@ -2,7 +2,11 @@
 
 
 class ErotError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; keyword arguments become attributes."""
+
+    def __init__(self, message, **fields):
+        super().__init__(message)
+        vars(self).update(fields)
 
 
 class NegativeWeight(ErotError):
@@ -38,18 +42,11 @@ class SeparabilityViolated(ErotError):
 
 
 class NonConvergence(ErotError):
-    def __init__(self, message, iterations=None, residual=None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual
+    pass
 
 
 class MarginalMismatch(ErotError):
-    def __init__(self, message, relative_error=None, atom=None, weight=None):
-        super().__init__(message)
-        self.relative_error = relative_error  # the worst relative marginal error
-        self.atom = atom  # the label of the atom it is at
-        self.weight = weight  # that atom's weight
+    pass
 
 
 class AsymmetricSetup(ErotError):

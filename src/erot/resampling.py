@@ -78,14 +78,8 @@ class MCReport:
     runtime: float
 
     def to_dict(self) -> dict:
-        return {
-            "target_sigma2": self.target_sigma2,
-            "ks_distance": self.ks_distance,
-            "sample_mean": self.sample_mean,
-            "sample_var": self.sample_var,
-            "replications": int(self.standardized_draws.size),
-            "runtime": self.runtime,
-        }
+        return {**{k: v for k, v in vars(self).items() if k != "standardized_draws"},
+                "replications": int(self.standardized_draws.size)}
 
 
 def ks_statistic(draws: np.ndarray, reference) -> float:
@@ -236,14 +230,7 @@ class VanishingLambdaReport:
     runtime: float
 
     def to_dict(self) -> dict:
-        return {
-            "sample_sizes": list(self.sample_sizes),
-            "lambdas": list(self.lambdas),
-            "variance_trace": list(self.variance_trace),
-            "var_alpha0": self.var_alpha0,
-            "ks_distance": self.ks_distance,
-            "runtime": self.runtime,
-        }
+        return {k: v for k, v in vars(self).items() if k != "standardized_draws"}
 
 
 def vanishing_lambda_experiment(

@@ -159,7 +159,8 @@ def build_operators(
     except np.linalg.LinAlgError:
         raise ContractionViolated(
             "I - K K^T is not positive definite (Cholesky failed); worst "
-            f"relative marginal error {marginal_error:.1e}, AX AY norm {norm:.12f}"
+            f"relative marginal error {marginal_error:.1e}, AX AY norm {norm:.12f}",
+            max_rel_marginal_error=marginal_error, contraction_norm=norm,
         ) from None
     # dpocon returns 1 / (anorm * est ||S^{-1}||_1): with anorm = 1 that is
     # rcond(S) ||S||_1, and ||S||_1 need not be formed
@@ -167,7 +168,8 @@ def build_operators(
     if min_eig < SCHUR_MIN_EIG:
         raise ContractionViolated(
             f"I - K K^T is numerically singular: smallest eigenvalue about "
-            f"{min_eig:.1e}; worst relative marginal error {marginal_error:.1e}"
+            f"{min_eig:.1e}; worst relative marginal error {marginal_error:.1e}",
+            max_rel_marginal_error=marginal_error, contraction_norm=norm, schur_min_eig=min_eig,
         )
     return DerivativeOperators(
         base=sol, r=r, s=s, contraction_norm=norm, schur_min_eig=min_eig,

@@ -165,14 +165,15 @@ def _gibbs_start(rr: np.ndarray, ss: np.ndarray, cost: np.ndarray, c_min: float,
 
 
 def _refuse_cut_off_atoms(m: CostModel, rw: np.ndarray, sw: np.ndarray) -> None:
-    """InvalidFamilyParams naming an atom whose cost is +inf at every atom of
-    the other side with mass: no plan reaches it.  Reads row blocks."""
+    """InvalidFamilyParams naming an atom (`atom`) whose cost is +inf at every
+    atom of the other side (`other`) with mass: no plan reaches it.  Reads row blocks."""
     for cost, space, mass, other in ((m.cost, m.space_X, sw, "s"), (m.cost.T, m.space_Y, rw, "r")):
         for rows in row_blocks(*cost.shape):
             reached = np.isfinite(cost[rows]) @ (mass > 0)
             if not reached.all():
                 label = space.labels[rows.start + int(np.argmin(reached))]
-                raise InvalidFamilyParams(f"atom {label!r} has cost +inf wherever {other} has mass")
+                raise InvalidFamilyParams(f"atom {label!r} has cost +inf wherever {other} has mass",
+                                          atom=label, other=other)
 
 
 def solve(
@@ -317,12 +318,12 @@ def solve(
 def mutual_information(pi: np.ndarray, r: DiscreteMeasure, s: DiscreteMeasure) -> float:
     """KL divergence of the plan from the product of its prescribed marginals,
     with the 0 log 0 = 0 convention; summed one row block at a time."""
-    row_err = float(np.abs(pi.sum(axis=1) - r.weights).sum())
-    col_err = float(np.abs(pi.sum(axis=0) - s.weights).sum())
-    if row_err + col_err > MI_MARGINAL_TOL:
+    l1_error = float(np.abs(pi.sum(axis=1) - r.weights).sum()
+                     + np.abs(pi.sum(axis=0) - s.weights).sum())
+    if l1_error > MI_MARGINAL_TOL:
         raise MarginalMismatch(
-            f"plan marginals off by {row_err + col_err:.3e} (tolerance {MI_MARGINAL_TOL:g})"
-        )
+            f"plan marginals off by {l1_error:.3e} (tolerance {MI_MARGINAL_TOL:g})",
+            l1_error=l1_error)
     total = 0.0
     for rows in row_blocks(*pi.shape):
         p = pi[rows]
@@ -358,36 +359,15 @@ def sinkhorn_divergence(
 
 @dataclass(frozen=True)
 class BoundReport:
-    alpha_lower_violation: float
-    alpha_upper_violation: float
-    beta_lower_violation: float
-    beta_upper_violation: float
-    plan_lower_violation: float
-    plan_upper_violation: float
+    violations: dict  # alpha_lower, alpha_upper, beta_lower, beta_upper, plan_lower, plan_upper
     vacuous: bool  # some bound on the support is not finite
 
     @property
     def max_violation(self) -> float:
-        return max(
-            self.alpha_lower_violation,
-            self.alpha_upper_violation,
-            self.beta_lower_violation,
-            self.beta_upper_violation,
-            self.plan_lower_violation,
-            self.plan_upper_violation,
-        )
+        return max(self.violations.values())
 
     def to_dict(self) -> dict:
-        return {
-            "alpha_lower": self.alpha_lower_violation,
-            "alpha_upper": self.alpha_upper_violation,
-            "beta_lower": self.beta_lower_violation,
-            "beta_upper": self.beta_upper_violation,
-            "plan_lower": self.plan_lower_violation,
-            "plan_upper": self.plan_upper_violation,
-            "max": self.max_violation,
-            "vacuous": self.vacuous,
-        }
+        return {**self.violations, "max": self.max_violation, "vacuous": self.vacuous}
 
 
 def verify_bounds(sol: SinkhornSolution, m: CostModel, r: DiscreteMeasure,
@@ -442,15 +422,14 @@ def verify_bounds(sol: SinkhornSolution, m: CostModel, r: DiscreteMeasure,
     def viol(arr):
         return float(max(0.0, np.max(arr))) if arr.size else 0.0
 
-    return BoundReport(
-        alpha_lower_violation=viol(a_lo[ix] - sol.alpha[ix]),
-        alpha_upper_violation=viol(sol.alpha[ix] - a_hi[ix]),
-        beta_lower_violation=viol(b_lo[iy] - sol.beta[iy]),
-        beta_upper_violation=viol(sol.beta[iy] - b_hi[iy]),
-        plan_lower_violation=viol(np.array(lower)),
-        plan_upper_violation=viol(np.array(upper)),
-        vacuous=not finite,
-    )
+    return BoundReport({
+        "alpha_lower": viol(a_lo[ix] - sol.alpha[ix]),
+        "alpha_upper": viol(sol.alpha[ix] - a_hi[ix]),
+        "beta_lower": viol(b_lo[iy] - sol.beta[iy]),
+        "beta_upper": viol(sol.beta[iy] - b_hi[iy]),
+        "plan_lower": viol(np.array(lower)),
+        "plan_upper": viol(np.array(upper)),
+    }, vacuous=not finite)
 
 
 # ---------------------------------------------------------------------------
@@ -814,14 +793,7 @@ class GapReport:
     chain_holds: bool
 
     def to_dict(self) -> dict:
-        return {
-            "ot_value": self.ot.value,
-            "entropy_bound": self.entropy_bound,
-            "lambdas": list(self.lambdas),
-            "erot_values": list(self.erot_values),
-            "sinkhorn_costs": list(self.sinkhorn_costs),
-            "chain_holds": self.chain_holds,
-        }
+        return {"ot_value": self.ot.value, **{k: v for k, v in vars(self).items() if k != "ot"}}
 
 
 def vanishing_reg_gap(

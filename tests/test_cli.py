@@ -485,14 +485,14 @@ def test_ot_exact_with_a_forbidden_cell_exit_2(tmp_path, capsys):
 _CUT_OFF_ROW = [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [math.inf] * 4]
 
 
-@pytest.mark.parametrize("cost, weights, message", [
-    (_CUT_OFF_ROW, [0.4, 0.3, 0.3, 0.0], "atom 3 has cost +inf wherever s has mass"),
-    (_CUT_OFF_ROW, [0.4, 0.3, 0.2, 0.1], "atom 3 has cost +inf wherever s has mass"),
+@pytest.mark.parametrize("cost, weights, message, other", [
+    (_CUT_OFF_ROW, [0.4, 0.3, 0.3, 0.0], "atom 3 has cost +inf wherever s has mass", "s"),
+    (_CUT_OFF_ROW, [0.4, 0.3, 0.2, 0.1], "atom 3 has cost +inf wherever s has mass", "s"),
     (np.transpose(_CUT_OFF_ROW).tolist(), [0.4, 0.3, 0.2, 0.1],
-     "atom 3 has cost +inf wherever r has mass"),
+     "atom 3 has cost +inf wherever r has mass", "r"),
 ], ids=["row-without-mass", "row-with-mass", "column-with-mass"])
 def test_solve_refuses_an_atom_cut_off_by_infinite_costs(tmp_path, capsys, cost, weights,
-                                                          message):
+                                                          message, other):
     # the potential of such an atom is +inf: it used to spread NaN through the
     # gauge shift, or to keep the iteration from converging
     measure = {"labels": [0, 1, 2, 3], "weights": weights}
@@ -502,7 +502,7 @@ def test_solve_refuses_an_atom_cut_off_by_infinite_costs(tmp_path, capsys, cost,
                                  "--out", str(out))])
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err == {"error": "InvalidFamilyParams", "message": message}
+    assert err == {"error": "InvalidFamilyParams", "message": message, "atom": 3, "other": other}
     assert not out.exists()
 
 
@@ -864,6 +864,105 @@ def test_refused_design_and_replications_are_config_parse(instance, capsys, argv
     assert err == {"error": "ConfigParse", "message": message}
 
 
+_COST_5 = [[0, 5, 5], [5, 0, 5], [5, 5, 0]]
+_WIDE = {"labels": list(range(513)), "weights": [1 / 513] * 513}
+_DISCRETE = {"family": "bounded", "kind": "discrete_metric"}
+
+
+@pytest.mark.parametrize("subcommand, files, code, error, message", [
+    # a family key that the chosen setting does not read
+    ("solve", {"cost": {"family": "bounded", "cost": _COST_5, "norm_ord": 3}}, 2,
+     "InvalidFamilyParams", "bounded family reads 'norm_ord' only with 'p'"),
+    ("solve", {"cost": {"family": "metric_power", "p": 2, "anchor": 0.0, "epsilon": -5,
+                        "gamma": -1}}, 2,
+     "InvalidFamilyParams", "metric power reads 'epsilon' and 'gamma' only when unbounded"),
+    # family parameters out of range or missing
+    ("solve", {"cost": {"family": "metric_power", "p": 0.5, "anchor": 0.0}}, 2,
+     "InvalidFamilyParams", "metric power needs p >= 1"),
+    ("solve", {"cost": {"family": "metric_power", "p": 2}}, 2,
+     "InvalidFamilyParams", "metric power needs an anchor point"),
+    ("solve", {"cost": {"family": "metric_power", "p": 2, "anchor": 0.0,
+                        "setting": "semibounded"}}, 2,
+     "InvalidFamilyParams", "unknown metric power setting 'semibounded'"),
+    ("solve", {"cost": {"family": "metric_power", "p": 2, "anchor": 0.0,
+                        "setting": "unbounded", "epsilon": -1}}, 2,
+     "InvalidFamilyParams", "epsilon and gamma must be positive"),
+    ("solve", {"cost": {"family": "separability"}}, 2,
+     "InvalidFamilyParams", "separability family needs an anchor point"),
+    ("solve", {"cost": {"family": "metric_power", "p": 2, "anchor": [0.0, 0.0]}}, 2,
+     "InvalidFamilyParams", "anchor dimension does not match coordinates"),
+    ("solve", {"cost": {"family": "custom", "cost": _COST_5,
+                        "dom": {**_DOM_3, "cX_minus": [1.0] * 3, "cX_plus": [0.0] * 3}}}, 2,
+     "InvalidFamilyParams", "dominating functions violate c- <= c+"),
+    ("solve", {"cost": {"p": 1}}, 2,
+     "ConfigParse", "cost file {cost} must hold a family spec with 'family'"),
+    ("ot-exact", {"r": _WIDE, "s": _WIDE, "cost": _DISCRETE}, 2,
+     "TooLarge", "exact oracle limited to 512 atoms per side"),
+    # the settings read what they take
+    ("solve", {"cost": _DISCRETE}, 0, None, None),
+    ("solve", {"cost": {"family": "metric_power", "p": 2, "anchor": 0.0,
+                        "setting": "unbounded", "epsilon": 1.0, "gamma": 2.0}}, 0, None, None),
+], ids=["bounded-norm_ord-without-p", "metric_power-epsilon-gamma-semi_bounded",
+        "metric_power-p-below-1", "metric_power-no-anchor", "metric_power-unknown-setting",
+        "metric_power-unbounded-negative-epsilon", "separability-no-anchor",
+        "anchor-dimension", "custom-dom-crossed", "no-family", "ot-exact-513-atoms",
+        "bounded-discrete_metric", "metric_power-unbounded-epsilon-gamma"])
+def test_cost_and_size_refusals(instance, capsys, subcommand, files, code, error, message):
+    paths, tmp = instance
+    for name, obj in files.items():
+        paths = {**paths, name: str(tmp / f"{name}_case.json")}
+        Path(paths[name]).write_text(json.dumps(obj))
+    out = tmp / "x.json"
+    lam = ["--lambda", "1"] if subcommand == "solve" else []
+    assert main([subcommand, *_base(paths, *lam, "--out", str(out))]) == code
+    if code == 0:
+        assert out.exists()
+        return
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": error, "message": message.format(**paths)}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, env, source, text", [
+    (["bootstrap", "--n", "5_0", "--B", "10"], {}, "--n", "5_0"),
+    (["bootstrap", "--n", "50", "--B", "1_0"], {}, "--B", "1_0"),
+    (["bootstrap", "--B", "10"], {"EROT_N": "5_0"}, "EROT_N", "5_0"),
+    (["solve", "--lambda", "1_0"], {}, "--lambda", "1_0"),
+    (["solve", "--tol", "1e-1_0"], {}, "--tol", "1e-1_0"),
+    (["solve", "--max-iter", "1_000"], {}, "--max-iter", "1_000"),
+    (["variance", "--mode", "two_sample", "--delta", "0.2_5"], {}, "--delta", "0.2_5"),
+    (["derivative-check", "--seed", "1_0"], {}, "--seed", "1_0"),
+    (["derivative-check", "--ts", "1e-2,1_0e-3"], {}, "--ts", "1e-2,1_0e-3"),
+    (["ot-exact", "--lambdas", "1,0_1"], {}, "--lambdas", "1,0_1"),
+], ids=["n", "B", "EROT_N", "lambda", "tol", "max-iter", "delta", "seed", "ts", "lambdas"])
+def test_numeric_flags_refuse_digit_group_underscores(instance, capsys, monkeypatch, argv, env,
+                                                      source, text):
+    # Python's int and float take "5_0" as 50; no input file does
+    paths, tmp = instance
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    lam = [] if argv[0] == "ot-exact" or "--lambda" in argv else ["--lambda", "1"]
+    code = main([*argv, *_base(paths, *lam, "--out", str(tmp / "x.json"))])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "ConfigParse", "message": f"bad value for {source}: {text}"}
+    assert not (tmp / "x.json").exists()
+
+
+def test_numeric_flags_read_every_other_spelling_as_before(instance, capsys):
+    paths, tmp = instance
+    written = []
+    for lam in ("1", "1.0", "1e0", "+1", " 1 "):
+        out = tmp / "x.json"
+        assert main(["solve", *_base(paths, "--lambda", lam, "--out", str(out))]) == 0, lam
+        written.append(json.loads(out.read_text()))
+    assert written == [written[0]] * 5
+    # a NaN lambda parses, and the cost builder refuses it
+    assert main(["solve", *_base(paths, "--lambda", "nan", "--out", str(tmp / "n.json"))]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "InvalidFamilyParams"
+
+
 @pytest.mark.parametrize("measure, message", [
     ({"labels": ["a", "a", "b"], "weights": [0.2, 0.3, 0.5]},
      "measure file {path}: atom labels must be unique"),
@@ -1042,6 +1141,37 @@ def test_every_output_is_canonical_indented_json(instance):
         for path in (tmp / f"{sub}.json", tmp / f"{sub}.manifest.json"):
             text = path.read_text()
             assert text == json.dumps(json.loads(text), indent=2) + "\n", path.name
+
+
+_SUM_KEYS = ["description", "partial_sum", "verdict", "detail"]
+_CONDITION_KEYS = ["verdict", "theorem", "sums"]
+
+
+def test_report_payloads_keep_their_key_order(instance):
+    # each report's layout, key by key: the CLI writes a record's fields in
+    # the order the record declares them
+    paths, tmp = instance
+    calls = dict(_all_subcommands(paths, tmp))
+    expected = {
+        "bounds": ["lambda", "alpha_lower", "alpha_upper", "beta_lower", "beta_upper",
+                   "plan_lower", "plan_upper", "max", "vacuous"],
+        "check-conditions": _CONDITION_KEYS,
+        "mc-clt": ["target_sigma2", "ks_distance", "sample_mean", "sample_var", "replications",
+                   "conditions"],
+        "vanishing-lambda": ["sample_sizes", "lambdas", "variance_trace", "var_alpha0",
+                             "ks_distance"],
+        "ot-exact": ["value", "alpha0", "beta0", "plan", "unique_potentials", "gap_report"],
+    }
+    payloads = {}
+    for sub, keys in expected.items():
+        assert main(calls[sub]) == 0, sub
+        payloads[sub] = json.loads((tmp / f"{sub}.json").read_text())
+        assert list(payloads[sub]) == keys, sub
+    for conditions in (payloads["check-conditions"], payloads["mc-clt"]["conditions"]):
+        assert list(conditions) == _CONDITION_KEYS
+        assert conditions["sums"] and all(list(c) == _SUM_KEYS for c in conditions["sums"])
+    assert list(payloads["ot-exact"]["gap_report"]) == [
+        "ot_value", "entropy_bound", "lambdas", "erot_values", "sinkhorn_costs", "chain_holds"]
 
 
 def test_start_up_loads_only_the_scipy_modules_a_subcommand_uses(instance):

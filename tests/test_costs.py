@@ -182,6 +182,24 @@ def test_secondary_weights_default_to_the_primary(spec):
         assert not all(same_values) and not all(same_growth)
 
 
+def _plane(n):
+    """n atoms on the diagonal of the plane, with 2-D coordinates."""
+    return erot.IndexedSpace(tuple(range(n)), coords=[[float(i), float(i)] for i in range(n)])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CostModel(erot.integer_grid(2), erot.integer_grid(3), np.zeros((3, 2)),
+                       DominatingCollection(*(np.zeros(k) for k in (2, 2, 3, 3))), None),
+     "cost table shape does not match spaces"),
+    (lambda: erot.build_cost({"family": "bounded", "p": 1}, erot.integer_grid(3), _plane(3),
+                             1.0),
+     "coordinate dimensions differ between spaces"),
+], ids=["table-shape", "coordinate-dimensions"])
+def test_mismatched_spaces_are_refused(build, message):
+    with pytest.raises(InvalidFamilyParams, match=message):
+        build()
+
+
 class TestConditionChecks:
     def test_bounded_geometric_passes(self):
         sp = erot.integer_grid(30)

@@ -71,6 +71,18 @@ def test_truncated_measure_rejects_a_nan_weight():
         erot.measures.truncated_measure([math.nan, 1.0, 1.0], erot.integer_grid(3))
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: erot.IndexedSpace(()), ValueError, "space needs at least one atom"),
+    (lambda: erot.SignedVector(erot.integer_grid(3), [1.0, -1.0]), SpaceMismatch,
+     "entry vector does not match space size"),
+    (lambda: erot.measures.truncated_measure([-1.0, -2.0], erot.integer_grid(2)),
+     NegativeWeight, "negative weight in truncation"),
+], ids=["empty-space", "signed-vector-length", "truncation-all-negative"])
+def test_malformed_measure_objects_are_refused(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_tail_constructors_attach_families():
     sp = erot.integer_grid(10)
     assert erot.geometric_measure(sp, 0.5).tail.kind == "geometric"

@@ -106,6 +106,13 @@ class TestPlanDerivative:
         zY = erot.SignedVector(s.space, np.zeros(5))
         assert np.allclose(plan_derivative(ops, zX, zY), 0.0, atol=1e-14)
 
+    def test_unknown_method_is_refused(self):
+        r, s, m, sol = _instance(2)
+        ops = build_operators(sol, r, s, m)
+        zX, zY = erot.SignedVector(r.space, np.zeros(5)), erot.SignedVector(s.space, np.zeros(5))
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            plan_derivative(ops, zX, zY, method="bogus")
+
     def test_marginal_identities(self):
         r, s, m, sol = _instance(3)
         ops = build_operators(sol, r, s, m)
@@ -487,8 +494,14 @@ class TestSchurGate:
         AX = plan[:, 1:] / r.weights[:, None]
         AY = (plan[:, 1:] / s_hand.weights[1:]).T
         assert np.max(np.abs(np.linalg.eigvals(AX @ AY))) == pytest.approx(radius)
-        with pytest.raises(ContractionViolated, match="marginal error 1.0e\\+00"):
+        with pytest.raises(ContractionViolated, match="marginal error 1.0e\\+00") as info:
             build_operators(sol, r, s_hand, m)
+        # the error carries what its message formats; schur_min_eig only where
+        # the Cholesky factor exists
+        fields = vars(info.value)
+        assert fields.pop("max_rel_marginal_error") == pytest.approx(1.0)
+        assert fields.pop("contraction_norm") == pytest.approx(radius)
+        assert list(fields) == (["schur_min_eig"] if radius == 1.0 else [])
 
     def test_min_eig_estimate_on_reference_instance(self):
         w, m = _tail("geometric", 21)

@@ -420,6 +420,13 @@ class TestMutualInformation:
         with pytest.raises(MarginalMismatch):
             erot.mutual_information(bad, u, erot.validate_measure([0.3, 0.7], sp))
 
+    def test_marginal_mismatch_carries_its_l1_error(self):
+        sp = erot.integer_grid(2)
+        u, v = erot.validate_measure([0.5, 0.5], sp), erot.validate_measure([0.3, 0.7], sp)
+        with pytest.raises(MarginalMismatch, match="off by 4.000e-01") as info:
+            erot.mutual_information(np.array([[0.4, 0.1], [0.1, 0.4]]), u, v)
+        assert vars(info.value) == {"l1_error": pytest.approx(0.4)}
+
     @staticmethod
     def _dense(pi, r, s):
         """The whole-table masked sum, kept as the oracle."""
@@ -560,15 +567,14 @@ class TestBounds:
         def viol(arr):
             return float(max(0.0, np.max(arr))) if arr.size else 0.0
 
-        return erot.BoundReport(
-            alpha_lower_violation=viol(a_lo[ix] - sol.alpha[ix]),
-            alpha_upper_violation=viol(sol.alpha[ix] - a_hi[ix]),
-            beta_lower_violation=viol(b_lo[iy] - sol.beta[iy]),
-            beta_upper_violation=viol(sol.beta[iy] - b_hi[iy]),
-            plan_lower_violation=viol(p_lo - sol.plan),
-            plan_upper_violation=viol(sol.plan - p_hi),
-            vacuous=not all(np.all(np.isfinite(b)) for b in on_support),
-        ).to_dict()
+        return erot.BoundReport({
+            "alpha_lower": viol(a_lo[ix] - sol.alpha[ix]),
+            "alpha_upper": viol(sol.alpha[ix] - a_hi[ix]),
+            "beta_lower": viol(b_lo[iy] - sol.beta[iy]),
+            "beta_upper": viol(sol.beta[iy] - b_hi[iy]),
+            "plan_lower": viol(p_lo - sol.plan),
+            "plan_upper": viol(sol.plan - p_hi),
+        }, vacuous=not all(np.all(np.isfinite(b)) for b in on_support)).to_dict()
 
     @staticmethod
     def _last_cell(plan, value):
@@ -729,6 +735,28 @@ class TestExactOT:
         assert exc.relative_error == pytest.approx(1.0)
         assert exc.atom == r.space.labels[3] and exc.weight == r.weights[3]
         assert f"r atom {exc.atom!r}" in str(exc) and "tolerance 1e-09" in str(exc)
+
+    def test_drifted_potentials_are_caught_by_the_exact_repricing(self, monkeypatch):
+        # potentials that price every block clean at a basis that is not
+        # optimal, as float drift could leave them: pricing again at the
+        # exact tree potentials finds the entering arc, and the pivots go on
+        r, s, m = _random_instance(np.random.default_rng(23), 6, 6)
+        expected = erot.exact_ot_small(r, s, m)
+        exact = erot.sinkhorn._tree_potentials
+        calls = []
+
+        def drifted(order, parent, c):
+            pot = exact(order, parent, c)
+            if not calls:
+                pot[:c.shape[0]] -= 1e6  # every reduced cost reads positive
+            calls.append(len(order))
+            return pot
+
+        monkeypatch.setattr(erot.sinkhorn, "_tree_potentials", drifted)
+        got = erot.exact_ot_small(r, s, m)
+        assert len(calls) >= 3  # the start, the re-pricing and the final potentials
+        assert got.value == pytest.approx(expected.value, rel=1e-12)
+        assert np.allclose(got.plan, expected.plan, atol=1e-15)
 
     def test_pivot_cap_raises_nonconvergence(self, monkeypatch):
         r, s, m = _random_instance(np.random.default_rng(23), 6, 6)

@@ -42,14 +42,12 @@ from .sinkhorn import (
 )
 from .sensitivity import (
     DerivativeOperators,
-    MultinomialCovariance,
     ONE_SAMPLE_R,
     ONE_SAMPLE_S,
     TWO_SAMPLE,
     build_operators,
     divergence_variance,
     functional_covariance,
-    multinomial_covariance,
     plan_derivative,
     sample_limit,
     sinkhorn_cost_variance,

@@ -67,9 +67,9 @@ class IndexedSpace:
         return self.labels == other.labels
 
 
-def integer_grid(n: int, start: int = 0) -> IndexedSpace:
-    """Space {start, ..., start+n-1} with matching scalar coordinates."""
-    pts = np.arange(start, start + n)
+def integer_grid(n: int) -> IndexedSpace:
+    """Space {0, ..., n-1} with matching scalar coordinates."""
+    pts = np.arange(n)
     return IndexedSpace(tuple(str(p) for p in pts), coords=pts.astype(float))
 
 

@@ -53,6 +53,9 @@ class ExperimentConfig:
             raise ConfigParse("replications must be >= 1")
         if self.n < 2 or (self.m is not None and self.m < 2):
             raise ConfigParse("sample sizes must be >= 2")
+        if self.f is not None and self.statistic != PLAN_FUNCTIONAL_CLT:
+            raise ConfigParse(f"a test table f is read only by {PLAN_FUNCTIONAL_CLT}, "
+                              f"not by {self.statistic}")
 
     @property
     def design(self) -> Design:

@@ -36,8 +36,7 @@ factor, then b by back-substitution.  The operators are refused
 estimated as rcond(S) ||S||_1 from LAPACK's dpocon, is below `SCHUR_MIN_EIG`.
 The paper's contraction norm ||AX AY||_inf, the largest entry of AX (AY 1)
 since AX AY >= 0, is only reported: on long tails it reaches 1 from the
-lightest rows while S stays well conditioned.  A truncated Neumann sum is
-retained as an independent cross-check.
+lightest rows while S stays well conditioned.
 
 The functional covariances need the rows <f, Dpi(e_x, 0)> and
 <f, Dpi(0, e_y)> for every coordinate direction.  They are obtained from one
@@ -61,7 +60,6 @@ import numpy as np
 from .costs import CostModel
 from .errors import (
     ContractionViolated,
-    NonConvergence,
     NotInTangentCone,
     UnboundedXVariation,
     ZeroMassAtom,
@@ -77,22 +75,11 @@ SCHUR_MIN_EIG = 1e-12
 
 
 @dataclass(frozen=True)
-class MultinomialCovariance:
-    matrix: np.ndarray
-
-
-def multinomial_covariance(r: DiscreteMeasure) -> MultinomialCovariance:
-    """Covariance diag(r) - r r^T of the empirical-process Gaussian limit."""
-    w = r.weights
-    return MultinomialCovariance(np.diag(w) - np.outer(w, w))
-
-
-@dataclass(frozen=True)
 class DerivativeOperators:
     """The plan derivative's data at one solution: the solution as solved,
     the marginals, the Cholesky factor of S = I - K K^T and diagnostics.
     The solves work on the plan itself; AX, AY, BX and BY (module
-    docstring) are formed only when read."""
+    docstring) are never formed."""
 
     base: SinkhornSolution  # the solution as solved; b is anchored at y1
     r: DiscreteMeasure
@@ -101,22 +88,6 @@ class DerivativeOperators:
     schur_min_eig: float  # rcond(S) ||S||_1, an estimate of S's smallest eigenvalue
     max_rel_marginal_error: float  # worst |plan marginal - weight| / weight
     cho: tuple  # scipy.linalg.cho_factor of S, lower triangle
-
-    @property
-    def AX(self) -> np.ndarray:  # (nx, ny-1)
-        return self.base.plan[:, 1:] / self.r.weights[:, None]
-
-    @property
-    def AY(self) -> np.ndarray:  # (ny-1, nx)
-        return (self.base.plan[:, 1:] / self.s.weights[1:]).T
-
-    @property
-    def BX(self) -> np.ndarray:  # (nx, ny), full tensor-quotient pi/(r x s)
-        return self.base.plan / np.outer(self.r.weights, self.s.weights)
-
-    @property
-    def BY(self) -> np.ndarray:  # (ny-1, nx)
-        return self.BX[:, 1:].T
 
 
 def build_operators(
@@ -152,8 +123,9 @@ def build_operators(
     # BLAS takes without a copy, and syrk with trans=1 forms (K.T)^T K.T = K K^T
     K = np.divide(pi[:, 1:], np.sqrt(w_r)[:, None])
     K /= np.sqrt(w_s[1:])
-    S = dsyrk(-1.0, K.T, beta=1.0, c=np.eye(K.shape[0], order="F"), trans=1, lower=1,
-              overwrite_c=1)
+    S = np.eye(K.shape[0], order="F")
+    if K.shape[1]:  # a one-atom Y leaves Y* empty and S = I; syrk refuses k = 0
+        S = dsyrk(-1.0, K.T, beta=1.0, c=S, trans=1, lower=1, overwrite_c=1)
     try:
         cho = cho_factor(S, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError:
@@ -183,62 +155,29 @@ def _check_tangent(h: SignedVector, name: str):
         raise NotInTangentCone(f"{name} sums to {total:.3e}, not a tangent direction")
 
 
-def _neumann_solve(M: np.ndarray, rhs: np.ndarray, norm: float, tol: float = 1e-14,
-                   max_terms: int = 10_000) -> np.ndarray:
-    """(I - M)^{-1} rhs by summing the Neumann series; M must be a contraction.
-    Raises NonConvergence if the terms are still above tolerance after
-    `max_terms` of them."""
-    out = rhs.copy()
-    term = rhs.copy()
-    for _ in range(max_terms):
-        term = M @ term
-        out += term
-        if np.max(np.abs(term)) <= tol * (1.0 - norm):
-            return out
-    raise NonConvergence(
-        f"Neumann series not below tolerance after {max_terms} terms",
-        iterations=max_terms, residual=float(np.max(np.abs(term))),
-    )
-
-
-def _potential_corrections(ops: DerivativeOperators, hX: np.ndarray, hY: np.ndarray,
-                           method: str = "direct"):
+def _potential_corrections(ops: DerivativeOperators, hX: np.ndarray, hY: np.ndarray):
     """Solve the block system for (a, b) along the direction (hX, hY)."""
     from scipy.linalg import cho_solve
 
     pi, w_r, w_s = ops.base.plan, ops.r.weights, ops.s.weights
     v = (hX / w_r) @ pi[:, 1:] / w_s[1:]  # BY hX
-    if method == "direct":
-        # u - AX v = pi (hY/s - (0, v)) / r, with u = BX hY
-        w = hY / w_s
-        w[1:] -= v
-        sqrt_r = np.sqrt(w_r)
-        a = cho_solve(ops.cho, (pi @ w) / sqrt_r) / sqrt_r
-        b = v - a @ pi[:, 1:] / w_s[1:]  # v - AY a
-    elif method == "neumann":
-        AX, AY = ops.AX, ops.AY
-        u = ops.BX @ hY
-        # AX AY and AY AX have spectral radius 1 - (smallest eigenvalue of S),
-        # below 1 even where ||AX AY||_inf is not
-        rate = 1.0 - ops.schur_min_eig
-        a = _neumann_solve(AX @ AY, u - AX @ v, rate)
-        b = _neumann_solve(AY @ AX, v - AY @ u, rate)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    # u - AX v = pi (hY/s - (0, v)) / r, with u = BX hY
+    w = hY / w_s
+    w[1:] -= v
+    sqrt_r = np.sqrt(w_r)
+    a = cho_solve(ops.cho, (pi @ w) / sqrt_r) / sqrt_r
+    b = v - a @ pi[:, 1:] / w_s[1:]  # v - AY a
     return a, b
 
 
-def plan_derivative(ops: DerivativeOperators, hX: SignedVector, hY: SignedVector,
-                    method: str = "direct") -> np.ndarray:
+def plan_derivative(ops: DerivativeOperators, hX: SignedVector, hY: SignedVector) -> np.ndarray:
     """Directional derivative of the entropic plan at (r, s) along (hX, hY).
 
-    The returned table has row sums hX and column sums hY.  `method` selects
-    the block inversion: dense direct solve (default) or truncated Neumann
-    summation.
+    The returned table has row sums hX and column sums hY.
     """
     _check_tangent(hX, "hX")
     _check_tangent(hY, "hY")
-    a, b = _potential_corrections(ops, hX.entries, hY.entries, method)
+    a, b = _potential_corrections(ops, hX.entries, hY.entries)
     b_full = np.concatenate(([0.0], b))  # b is anchored at y1
     # (pi/(r (x) s)) . [r (x) hY + hX (x) s] = pi . (hX/r (+) hY/s)
     return ops.base.plan * ((hX.entries / ops.r.weights - a)[:, None]

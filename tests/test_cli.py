@@ -690,6 +690,9 @@ def test_import_leaves_stats_and_optimize_unloaded():
      "PlanFunctionalCLT needs a test table f of shape (3, 3)"),
     ("mc-clt", [], {"statistic": "PlanFunctionalCLT"},
      "PlanFunctionalCLT needs a test table f of shape (3, 3)"),
+    ("mc-clt", [], {"statistic": "ValueCLT", "n": 100, "replications": 5,
+                    "f": [[1.0, 2.0], [3.0, 4.0]]},
+     "a test table f is read only by PlanFunctionalCLT, not by ValueCLT"),
     ("mc-clt", [], {"n": float("inf")}, "bad value for 'n' in {config}: inf"),
     ("mc-clt", [], {"statistic": "ValueCLT", "n": 300, "replication": 2000},
      "unknown keys ['replication'] in experiment file {config}; "
@@ -700,7 +703,7 @@ def test_import_leaves_stats_and_optimize_unloaded():
 ], ids=["ts", "lambdas", "config-n", "config-list", "sizes-scalar", "sizes-string",
         "sizes-float", "sizes-zero", "sizes-empty", "replications-zero", "statistic",
         "coef-zero", "coef-negative", "exponent-inf", "schedule-overflow", "f-ragged",
-        "f-shape", "f-missing", "n-infinite", "mc-clt-unknown-key", "vanishing-lambda-unknown-keys"])
+        "f-shape", "f-missing", "f-unread", "n-infinite", "mc-clt-unknown-key", "vanishing-lambda-unknown-keys"])
 def test_malformed_list_and_config_values_are_config_parse(
         instance, capsys, subcommand, extra, config, message):
     paths, tmp = instance

@@ -26,9 +26,9 @@ def test_space_coords_shape():
 
 
 def test_integer_grid():
-    sp = erot.integer_grid(4, start=2)
-    assert sp.labels == ("2", "3", "4", "5")
-    assert np.allclose(sp.coords[:, 0], [2, 3, 4, 5])
+    sp = erot.integer_grid(4)
+    assert sp.labels == ("0", "1", "2", "3")
+    assert np.allclose(sp.coords[:, 0], [0, 1, 2, 3])
 
 
 class TestValidateMeasure:

@@ -142,6 +142,12 @@ class TestMCExperiment:
         with pytest.raises(ValueError):
             mc_clt_experiment(r, s, m, cfg)
 
+    @pytest.mark.parametrize("statistic", [VALUE_CLT, SINKHORN_COST_CLT, DIVERGENCE_CLT])
+    def test_table_for_another_statistic_is_refused(self, statistic):
+        with pytest.raises(ConfigParse, match=f"a test table f is read only by "
+                                              f"PlanFunctionalCLT, not by {statistic}"):
+            ExperimentConfig(statistic=statistic, f=np.eye(4))
+
     def test_plan_functional_table_checked_before_any_solve(self, monkeypatch):
         r, s, m = _instance(13)
         monkeypatch.setattr(erot.resampling, "solve", _refuse)

@@ -15,7 +15,7 @@ from erot.errors import (
 )
 from erot.sensitivity import (
     _functional_jacobians,
-    _neumann_solve,
+    _multinomial_form,
     _potential_corrections,
     ONE_SAMPLE_R,
     ONE_SAMPLE_S,
@@ -23,7 +23,6 @@ from erot.sensitivity import (
     build_operators,
     divergence_variance,
     functional_covariance,
-    multinomial_covariance,
     plan_derivative,
     sample_limit,
     sample_multinomial_gaussian,
@@ -31,6 +30,8 @@ from erot.sensitivity import (
     value_derivative,
     value_variance,
 )
+
+import oracles
 
 
 def _instance(seed, n_x=5, n_y=5, lam=1.0):
@@ -55,10 +56,11 @@ class TestOperators:
     def test_row_sum_structure(self):
         r, s, m, sol = _instance(0)
         ops = build_operators(sol, r, s, m)
+        AX, AY, _, _ = oracles.operators(sol.plan, r, s)
         # AY rows are conditional distributions of x given y: sum to one
-        assert np.allclose(ops.AY.sum(axis=1), 1.0, atol=1e-10)
+        assert np.allclose(AY.sum(axis=1), 1.0, atol=1e-10)
         # AX rows drop the y1 column of a conditional, so sums are below one
-        assert np.all(ops.AX.sum(axis=1) < 1.0)
+        assert np.all(AX.sum(axis=1) < 1.0)
         assert 0.0 < ops.contraction_norm < 1.0
 
     def test_product_plan_operators(self):
@@ -71,11 +73,11 @@ class TestOperators:
             {"family": "custom", "cost": f[:, None] + np.zeros((3, 3))}, sp, sp, 1.0
         )
         sol = erot.solve(r, s, m, 1.0)
-        ops = build_operators(sol, r, s, m)
+        AX, AY, BX, _ = oracles.operators(sol.plan, r, s)
         # pi = r x s: AX columns are the s-masses, AY columns the r-masses
-        assert np.allclose(ops.AX, np.broadcast_to(s.weights[1:], (3, 2)), atol=1e-9)
-        assert np.allclose(ops.AY, np.broadcast_to(r.weights, (2, 3)), atol=1e-9)
-        assert np.allclose(ops.BX, 1.0, atol=1e-9)
+        assert np.allclose(AX, np.broadcast_to(s.weights[1:], (3, 2)), atol=1e-9)
+        assert np.allclose(AY, np.broadcast_to(r.weights, (2, 3)), atol=1e-9)
+        assert np.allclose(BX, 1.0, atol=1e-9)
 
     def test_zero_mass_atom_rejected(self):
         sp = erot.integer_grid(3)
@@ -97,6 +99,21 @@ class TestOperators:
         with pytest.raises(UnboundedXVariation):
             build_operators(sol, geo, geo, m)
 
+    def test_one_atom_y_is_factored_without_blas_complaint(self, capfd):
+        # Y* is empty, so S = I; a syrk with k = 0 is refused by the BLAS,
+        # which prints its complaint to the process's own output
+        sp = erot.integer_grid(5)
+        r = erot.validate_measure([0.3, 0.25, 0.2, 0.15, 0.1], sp)
+        s = erot.validate_measure([1.0], erot.integer_grid(1))
+        m, _ = erot.build_cost({"family": "bounded", "p": 1}, sp, s.space, 1.0)
+        ops = build_operators(erot.solve(r, s, m, 1.0), r, s, m)
+        f = np.array([[1.0], [0.0], [0.5], [0.2], [0.1]])
+        cov = functional_covariance(ops, r, s, [f])
+        assert capfd.readouterr() == ("", "")
+        # the plan is r (x) delta_0, so <f, pi> moves with the r-sample alone
+        g = f[:, 0]
+        assert cov[0, 0] == pytest.approx((g - g @ r.weights) ** 2 @ r.weights, rel=1e-12)
+
 
 class TestPlanDerivative:
     def test_zero_direction(self):
@@ -105,13 +122,6 @@ class TestPlanDerivative:
         zX = erot.SignedVector(r.space, np.zeros(5))
         zY = erot.SignedVector(s.space, np.zeros(5))
         assert np.allclose(plan_derivative(ops, zX, zY), 0.0, atol=1e-14)
-
-    def test_unknown_method_is_refused(self):
-        r, s, m, sol = _instance(2)
-        ops = build_operators(sol, r, s, m)
-        zX, zY = erot.SignedVector(r.space, np.zeros(5)), erot.SignedVector(s.space, np.zeros(5))
-        with pytest.raises(ValueError, match="unknown method 'bogus'"):
-            plan_derivative(ops, zX, zY, method="bogus")
 
     def test_marginal_identities(self):
         r, s, m, sol = _instance(3)
@@ -145,8 +155,8 @@ class TestPlanDerivative:
         rng = np.random.default_rng(50)
         hX = _tangent(r.space, rng.normal(size=5))
         hY = _tangent(s.space, rng.normal(size=5))
-        a = plan_derivative(ops, hX, hY, method="direct")
-        b = plan_derivative(ops, hX, hY, method="neumann")
+        a = plan_derivative(ops, hX, hY)
+        b = oracles.neumann_plan_derivative(sol.plan, r, s, hX.entries, hY.entries)
         assert np.allclose(a, b, atol=1e-8)
 
     def test_non_tangent_rejected(self):
@@ -173,18 +183,23 @@ class TestValueDerivative:
 
 class TestCovariances:
     def test_multinomial_two_atom(self):
+        # J = I: the quadratic form J (diag w - w w^T) J^T is the covariance itself
         sp = erot.integer_grid(2)
-        u = erot.validate_measure([0.5, 0.5], sp)
-        cov = multinomial_covariance(u).matrix
+        u = erot.validate_measure([0.5, 0.5], sp).weights
+        cov = _multinomial_form(np.eye(2), u)
         assert np.allclose(cov, [[0.25, -0.25], [-0.25, 0.25]])
+        assert np.allclose(cov, oracles.multinomial_covariance(u), rtol=0, atol=1e-15)
 
     def test_multinomial_point_mass_and_row_sums(self):
         sp = erot.integer_grid(3)
-        pm = erot.validate_measure([0.0, 1.0, 0.0], sp)
-        assert np.allclose(multinomial_covariance(pm).matrix, 0.0)
+        pm = erot.validate_measure([0.0, 1.0, 0.0], sp).weights
+        assert np.allclose(_multinomial_form(np.eye(3), pm), 0.0)
+        assert np.allclose(oracles.multinomial_covariance(pm), 0.0)
         rng = np.random.default_rng(8)
-        r = erot.validate_measure(rng.dirichlet(np.ones(3)), sp)
-        assert np.allclose(multinomial_covariance(r).matrix.sum(axis=1), 0.0, atol=1e-15)
+        r = erot.validate_measure(rng.dirichlet(np.ones(3)), sp).weights
+        cov = _multinomial_form(np.eye(3), r)
+        assert np.allclose(cov.sum(axis=1), 0.0, atol=1e-15)
+        assert np.allclose(cov, oracles.multinomial_covariance(r), rtol=0, atol=1e-15)
 
     def test_value_variance_degenerate_cases(self):
         sp = erot.integer_grid(2)
@@ -279,24 +294,22 @@ class TestCovariances:
                                              (TWO_SAMPLE, 0.3)])
     def test_functional_covariance_against_neumann_jacobian(self, mode, delta):
         # oracle: Jacobian columns <f, Dpi(e_x - r, 0)> and <f, Dpi(0, e_y - s)>
-        # from the public Neumann-summed plan derivative, one direction at a time
+        # from the Neumann-summed plan derivative, one direction at a time
         r, s, m, sol = _instance(17, n_x=5, n_y=4)
         ops = build_operators(sol, r, s, m)
         rng = np.random.default_rng(170)
         fns = [m.cost, rng.uniform(-1, 1, (5, 4)), rng.uniform(0, 1, (5, 4))]
         F = np.array(fns)
-        zx = erot.SignedVector(r.space, np.zeros(5))
-        zy = erot.SignedVector(s.space, np.zeros(4))
         JX = np.column_stack([
-            (F * plan_derivative(ops, erot.SignedVector(r.space, e - r.weights), zy,
-                                 method="neumann")).sum(axis=(1, 2))
+            (F * oracles.neumann_plan_derivative(sol.plan, r, s, e - r.weights,
+                                                 np.zeros(4))).sum(axis=(1, 2))
             for e in np.eye(5)])
         JY = np.column_stack([
-            (F * plan_derivative(ops, zx, erot.SignedVector(s.space, e - s.weights),
-                                 method="neumann")).sum(axis=(1, 2))
+            (F * oracles.neumann_plan_derivative(sol.plan, r, s, np.zeros(5),
+                                                 e - s.weights)).sum(axis=(1, 2))
             for e in np.eye(4)])
-        cov_r = JX @ multinomial_covariance(r).matrix @ JX.T
-        cov_s = JY @ multinomial_covariance(s).matrix @ JY.T
+        cov_r = JX @ oracles.multinomial_covariance(r.weights) @ JX.T
+        cov_s = JY @ oracles.multinomial_covariance(s.weights) @ JY.T
         expected = {ONE_SAMPLE_R: cov_r, ONE_SAMPLE_S: cov_s,
                     TWO_SAMPLE: 0.3 * cov_r + 0.7 * cov_s}[mode]
         got = functional_covariance(ops, r, s, fns, mode, delta)
@@ -318,7 +331,7 @@ class TestSampling:
         r = erot.validate_measure(rng.dirichlet(np.ones(4)), sp)
         draws = sample_multinomial_gaussian(r, 200_000, np.random.default_rng(0))
         emp = draws.T @ draws / draws.shape[0]
-        assert np.allclose(emp, multinomial_covariance(r).matrix, atol=5e-3)
+        assert np.allclose(emp, oracles.multinomial_covariance(r.weights), atol=5e-3)
         assert np.allclose(draws.sum(axis=1), 0.0, atol=1e-12)
 
     def test_sample_limit_variance_and_determinism(self):
@@ -391,13 +404,15 @@ class TestDesign:
 
 class TestNeumannAndConditioning:
     def test_neumann_raises_when_truncated(self):
+        # the oracle refuses to stop early, so a comparison with it checks
+        # a converged sum
         M = np.array([[0.5, 0.2], [0.1, 0.6]])
         rhs = np.array([1.0, -1.0])
         with pytest.raises(NonConvergence) as info:
-            _neumann_solve(M, rhs, norm=0.7, max_terms=5)
+            oracles.neumann_solve(M, rhs, rate=0.7, max_terms=5)
         assert info.value.iterations == 5
         assert info.value.residual > 0
-        full = _neumann_solve(M, rhs, norm=0.7)
+        full = oracles.neumann_solve(M, rhs, rate=0.7)
         assert np.allclose(full, np.linalg.solve(np.eye(2) - M, rhs), atol=1e-12)
 
     def test_near_one_warning_reports_the_gap(self):
@@ -467,14 +482,15 @@ class TestTails:
 
     @pytest.mark.parametrize("family, n", [("geometric", 120), ("polynomial", 60)])
     def test_neumann_cross_check(self, family, n):
-        # the Neumann sum stops on the spectral gap schur_min_eig, since
+        # the Neumann sum stops on the spectral radius of AX AY, since
         # 1 - ||AX AY||_inf is negative here
         w, m = _tail(family, n)
-        ops = build_operators(erot.solve(w, w, m, 1.0), w, w, m)
+        sol = erot.solve(w, w, m, 1.0)
+        ops = build_operators(sol, w, w, m)
         rng = np.random.default_rng(n)
         hX, hY = _tangent(w.space, rng.normal(size=n)), _tangent(w.space, rng.normal(size=n))
         d = plan_derivative(ops, hX, hY)
-        e = plan_derivative(ops, hX, hY, method="neumann")
+        e = oracles.neumann_plan_derivative(sol.plan, w, w, hX.entries, hY.entries)
         assert np.max(np.abs(e - d)) <= 1e-12 * np.max(np.abs(d))
 
 
@@ -551,7 +567,7 @@ class TestOracles:
         r, s, m = _dirichlet_instance(n, 300)
         ops = build_operators(erot.solve(r, s, m, 1.0), r, s, m)
         pi, w_r, w_s = ops.base.plan, r.weights, s.weights
-        AX, AY, BX, BY = ops.AX, ops.AY, ops.BX, ops.BY
+        AX, AY, BX, BY = oracles.operators(pi, r, s)
         # [[I, AX], [AY, I]] (a, b) = (u, v), of size nx + ny - 1
         M = np.block([[np.eye(n), AX], [AY, np.eye(n - 1)]])
         rng = np.random.default_rng(301)
